@@ -8,31 +8,21 @@ type status =
   | Unbounded
   | Aborted
 
-type engine =
-  | Dense
-  | Sparse
-
 type solve_info = {
-  engine : engine;
   pivots : int;
   warm : bool;
   pivots_saved : int;
-  presolve_removed_rows : int;
-  presolve_fixed_vars : int;
   cold_restarts : int;
   refactors : int;
   eta_len : int;
   bound_rows_saved : int;
 }
 
-let no_info engine =
+let no_info =
   {
-    engine;
     pivots = 0;
     warm = false;
     pivots_saved = 0;
-    presolve_removed_rows = 0;
-    presolve_fixed_vars = 0;
     cold_restarts = 0;
     refactors = 0;
     eta_len = 0;
@@ -46,9 +36,8 @@ type crow = {
   c_tag : string;
   c_bound : var;
       (* >= 0: virtual upper-bound row of that variable.  Kept in the
-         row list so ids, row_info and provenance stay stable and the
-         Dense oracle still sees a real constraint, but sparse engines
-         get a column bound instead of a row. *)
+         row list so ids, row_info and provenance stay stable, but the
+         simplex gets a column bound instead of a row. *)
 }
 
 type row_info = {
@@ -83,8 +72,6 @@ type t = {
   mutable ub_rows : int array; (* growable; per var, its ub row or -1 *)
   mutable ubs : float array; (* growable; per var, its cap or infinity *)
   mutable objective : Linexpr.t;
-  mutable engine : engine;
-  mutable use_presolve : bool;
   mutable istate : istate option;
   mutable info : solve_info;
   mutable capture_duals : bool;
@@ -102,19 +89,11 @@ let create () =
     ub_rows = Array.make 16 (-1);
     ubs = Array.make 16 infinity;
     objective = Linexpr.zero;
-    engine = Sparse;
-    use_presolve = true;
     istate = None;
-    info = no_info Sparse;
+    info = no_info;
     capture_duals = false;
     duals = None;
   }
-
-let set_engine t e = t.engine <- e
-
-let engine t = t.engine
-
-let set_presolve t b = t.use_presolve <- b
 
 let grow_int a n =
   if Array.length a >= n then a
@@ -253,13 +232,6 @@ let record_info info =
        plane can derive pivots/second between any two points. *)
     if info.pivots > 0 then
       Tm.Counter.incr ~by:info.pivots (Tm.counter "lp.pivots.total");
-    if info.presolve_removed_rows > 0 then
-      Tm.Counter.incr
-        ~by:info.presolve_removed_rows
-        (Tm.counter "lp.presolve.removed_rows");
-    if info.presolve_fixed_vars > 0 then
-      Tm.Counter.incr ~by:info.presolve_fixed_vars
-        (Tm.counter "lp.presolve.fixed_vars");
     if info.refactors > 0 then
       Tm.Counter.incr ~by:info.refactors (Tm.counter "lp.refactors");
     if info.warm then begin
@@ -274,82 +246,28 @@ let record_abort () =
   let module Tm = Sherlock_telemetry.Metrics in
   if Tm.enabled () then Tm.Counter.incr (Tm.counter "lp.aborted")
 
-
-let constr_list t =
-  let acc = ref [] in
-  for i = t.nconstrs - 1 downto 0 do
-    let r = t.rows.(i) in
-    acc := { Simplex.row = r.c_row; relation = r.c_rel; rhs = r.c_rhs } :: !acc
-  done;
-  !acc
-
-let finish t info outcome =
-  t.info <- info;
-  record_info info;
-  match outcome with
-  | Simplex.Optimal { objective = obj; solution } ->
-    let obj = obj +. Linexpr.constant t.objective in
-    ( Solved obj,
-      fun v ->
-        if v >= 0 && v < Array.length solution then solution.(v) else 0.0 )
-  | Simplex.Infeasible -> (Infeasible, fun _ -> 0.0)
-  | Simplex.Unbounded -> (Unbounded, fun _ -> 0.0)
-
-(* Sparse engines never see the virtual bound rows: split them out,
-   remembering where each surviving constraint landed ([spos], -1 for
-   bound rows) and how many rows the bounds saved. *)
-let sparse_parts t =
-  let n = t.nconstrs in
-  let spos = Array.make (max 1 n) (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if t.rows.(i).c_bound < 0 then begin
-      spos.(i) <- !next;
-      incr next
-    end
-  done;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    let r = t.rows.(i) in
-    if r.c_bound < 0 then
-      acc := { Simplex.row = r.c_row; relation = r.c_rel; rhs = r.c_rhs } :: !acc
-  done;
-  (!acc, spos, n - !next)
-
-let ub_array t = Array.sub t.ubs 0 (max 1 t.count)
-
-(* Duals of a sparse solve, read off the live solver state and mapped
-   back to problem coordinates.  [row_map]/[var_map] translate original
-   row/variable indices to solver ids (-1: removed).  A virtual bound
-   row has no simplex row; its dual is synthesized from the bounded
-   column exactly as the explicit cap row would have carried it — the
-   variable's reduced cost when it sits at its upper bound (the cap
-   binding, rc <= 0), 0 otherwise — and the variable's own reduced cost
-   is reported 0 in that case, matching the basic variable of the
-   explicit-row formulation. *)
-let capture_sparse t sx ~row_map ~var_map =
-  let rd = Simplex.row_duals sx in
-  let rc = Simplex.reduced_costs sx in
-  let ncols = Simplex.num_cols sx in
-  let at_upper v =
-    let c = var_map v in
-    c >= 0 && c < ncols && Simplex.is_at_upper sx c
-  in
-  let rc_of v =
-    let c = var_map v in
-    if c >= 0 && c < Array.length rc then rc.(c) else 0.0
-  in
+(* Duals of an optimal solve, read off the live solver state and mapped
+   back to problem coordinates through [row_ids]/[col_of_var].  A
+   virtual bound row has no simplex row; its dual is synthesized from
+   the bounded column exactly as the explicit cap row would have carried
+   it — the variable's reduced cost when it sits at its upper bound (the
+   cap binding, rc <= 0), 0 otherwise — and the variable's own reduced
+   cost is reported 0 in that case, matching the basic variable of the
+   explicit-row formulation.  Reading them never perturbs the basis, so
+   verdicts are bitwise identical with capture on or off. *)
+let capture s t =
+  let rd = Simplex.row_duals s.sx in
+  let rc = Simplex.reduced_costs s.sx in
+  let at_upper v = Simplex.is_at_upper s.sx s.col_of_var.(v) in
   let d_rows =
     Array.init t.nconstrs (fun i ->
         let b = t.rows.(i).c_bound in
-        if b >= 0 then if at_upper b then rc_of b else 0.0
-        else begin
-          let m = row_map i in
-          if m >= 0 && m < Array.length rd then rd.(m) else 0.0
-        end)
+        if b >= 0 then if at_upper b then rc.(s.col_of_var.(b)) else 0.0
+        else rd.(s.row_ids.(i)))
   in
   let d_vars =
-    Array.init t.count (fun v -> if at_upper v then 0.0 else rc_of v)
+    Array.init t.count (fun v ->
+        if at_upper v then 0.0 else rc.(s.col_of_var.(v)))
   in
   t.duals <- Some { d_rows; d_vars }
 
@@ -378,82 +296,12 @@ let stat_info base (st : Simplex.stats) =
     eta_len = st.eta_len;
   }
 
-let solve t =
-  t.duals <- None;
-  match !fault with
-  | Some s -> (s, fun _ -> 0.0)
-  | None -> (
-    let objective = Linexpr.terms t.objective in
-    match t.engine with
-    | Dense ->
-      let constrs = constr_list t in
-      let outcome, pivots =
-        Dense.solve_counted ~num_vars:t.count ~objective constrs
-      in
-      finish t { (no_info Dense) with pivots } outcome
-    | Sparse -> (
-      let constrs, spos, saved = sparse_parts t in
-      let ub = ub_array t in
-      let base = { (no_info Sparse) with bound_rows_saved = saved } in
-      if not t.use_presolve then begin
-        match Simplex.solve_tableau ~ub ~num_vars:t.count ~objective constrs with
-        | exception Simplex.Iteration_limit -> aborted t base
-        | outcome, st, sx ->
-          if t.capture_duals then
-            (match outcome with
-            | Simplex.Optimal _ ->
-              capture_sparse t sx
-                ~row_map:(fun i -> spos.(i))
-                ~var_map:(fun v -> v)
-            | _ -> ());
-          finish t (stat_info base st) outcome
-      end
-      else begin
-        let r = Presolve.run ~num_vars:t.count ~objective ~ub constrs in
-        let base =
-          {
-            base with
-            presolve_removed_rows = r.Presolve.r_stats.removed_rows;
-            presolve_fixed_vars = r.Presolve.r_stats.fixed_vars;
-          }
-        in
-        if r.Presolve.r_infeasible then finish t base Simplex.Infeasible
-        else begin
-          match
-            Simplex.solve_tableau ~ub ~num_vars:t.count
-              ~objective:r.Presolve.r_objective r.Presolve.r_constrs
-          with
-          | exception Simplex.Iteration_limit -> aborted t base
-          | outcome, st, sx -> (
-            if t.capture_duals then
-              (match outcome with
-              | Simplex.Optimal _ ->
-                capture_sparse t sx
-                  ~row_map:(fun i ->
-                    if spos.(i) < 0 then -1
-                    else r.Presolve.r_row_map.(spos.(i)))
-                  ~var_map:(fun v -> r.Presolve.r_var_map.(v))
-              | _ -> ());
-            let base = stat_info base st in
-            match outcome with
-            | Simplex.Optimal { objective = obj; solution } ->
-              let restore =
-                r.Presolve.r_restore (fun v ->
-                    if v >= 0 && v < Array.length solution then solution.(v)
-                    else 0.0)
-              in
-              let full = Array.init t.count restore in
-              finish t base
-                (Simplex.Optimal
-                   { objective = obj +. r.Presolve.r_offset; solution = full })
-            | o -> finish t base o)
-        end
-      end))
-
 let solve_incremental t =
   t.duals <- None;
   match !fault with
-  | Some s -> (s, fun _ -> 0.0)
+  | Some s ->
+    t.info <- no_info;
+    (s, fun _ -> 0.0)
   | None ->
     let s =
       match t.istate with
@@ -499,24 +347,15 @@ let solve_incremental t =
     | exception Simplex.Iteration_limit ->
       (* The solver invalidated itself; the warm state stays usable for
          later rounds (the next reoptimize starts cold). *)
-      aborted t { (no_info Sparse) with bound_rows_saved = !saved }
+      aborted t { no_info with bound_rows_saved = !saved }
     | result ->
     let st = Simplex.last_stats s.sx in
-    let info =
-      stat_info { (no_info Sparse) with bound_rows_saved = !saved } st
-    in
+    let info = stat_info { no_info with bound_rows_saved = !saved } st in
     t.info <- info;
     record_info info;
     (match result with
     | `Optimal obj ->
-      if t.capture_duals then
-        (* Exact multipliers of the live state: [row_ids]/[col_of_var]
-           translate problem row/var indices to solver ids.  Reading
-           them never perturbs the basis, so verdicts are bitwise
-           identical with capture on or off. *)
-        capture_sparse t s.sx
-          ~row_map:(fun i -> s.row_ids.(i))
-          ~var_map:(fun v -> s.col_of_var.(v));
+      if t.capture_duals then capture s t;
       let obj = obj +. Linexpr.constant t.objective in
       (* Snapshot: the solver state stays live inside [t] (later rhs
          edits move its basic solution), but the assignment handed out

@@ -11,14 +11,12 @@
     All variables are bounded below by 0, matching their reading as
     probabilities or penalties.
 
-    Two solve paths share the builder.  {!solve} is one-shot: the program
-    is presolved ({!Presolve}) and handed to the selected engine — the
-    sparse revised simplex by default, the seed dense tableau ({!Dense})
-    for reference runs.  {!solve_incremental} keeps a live {!Simplex.t}
-    inside the problem: each call pushes only the variables, constraints,
-    right-hand-side edits, and objective accumulated since the previous
-    call and reoptimizes from the previous basis — the engine of the
-    encoder's cross-round warm starts. *)
+    One solve path: {!solve_incremental} keeps a live {!Simplex.t}
+    inside the problem.  The first call builds it from everything
+    declared so far; each later call pushes only the variables,
+    constraints, right-hand-side edits, and objective accumulated since
+    the previous call and reoptimizes from the previous basis — the
+    engine of the encoder's cross-round warm starts. *)
 
 type t
 
@@ -35,46 +33,31 @@ type status =
           gave up; treated by callers like any other non-[Solved]
           status (the encoder degrades to its previous verdicts) *)
 
-(** Which simplex implementation {!solve} uses. *)
-type engine =
-  | Dense  (** seed two-phase dense tableau ({!Dense}) *)
-  | Sparse  (** revised simplex over {!Sparse} (the default) *)
-
 (** Statistics from the most recent solve of a problem. *)
 type solve_info = {
-  engine : engine;
   pivots : int;
-  warm : bool;  (** started from a previous basis (incremental path) *)
+  warm : bool;  (** started from a previous basis *)
   pivots_saved : int;
       (** structural basis columns inherited at a warm start *)
-  presolve_removed_rows : int;
-  presolve_fixed_vars : int;
   cold_restarts : int;  (** warm attempts that fell back to a cold build *)
   refactors : int;  (** basis refactorizations during the solve *)
   eta_len : int;  (** longest eta file reached before a rebuild *)
   bound_rows_saved : int;
       (** cap rows the bounded-variable encoding kept out of the sparse
-          matrix (0 on the Dense path, which still gets real rows) *)
+          matrix *)
 }
 
 val create : unit -> t
-
-val set_engine : t -> engine -> unit
-
-val engine : t -> engine
-
-val set_presolve : t -> bool -> unit
-(** Toggle the {!Presolve} pass on the one-shot path (on by default). *)
 
 val add_var : t -> ?ub:float -> string -> var
 (** [add_var t name] declares a variable in [\[0, inf)]; [~ub] caps it
     (probability variables use [~ub:1.0]).  Names are for diagnostics and
     need not be unique.  The cap, when present, is recorded as a {e
     virtual} row tagged ["ub:" ^ name]: it keeps a stable {!row_id}
-    (retrievable via {!ub_row}, visible to {!row_info} and provenance,
-    and a real constraint on the [Dense] oracle), but sparse engines
-    enforce it as a column bound in the ratio test — no matrix row — and
-    its dual is synthesized from the bounded column's reduced cost. *)
+    (retrievable via {!ub_row}, visible to {!row_info} and provenance),
+    but the simplex enforces it as a column bound in the ratio test — no
+    matrix row — and its dual is synthesized from the bounded column's
+    reduced cost. *)
 
 val name : t -> var -> string
 
@@ -139,46 +122,40 @@ val abs : t -> weight:float -> string -> Linexpr.t -> var
 val abs_var : t -> string -> Linexpr.t -> var
 (** {!abs} without the objective term. *)
 
-val solve : t -> status * (var -> float)
-(** Solve the accumulated program one-shot (presolve + selected engine).
-    The assignment function returns 0 for every variable when the program
-    is not [Solved]. *)
-
 val solve_incremental : t -> status * (var -> float)
-(** Solve keeping live solver state inside [t]: subsequent calls push
-    only the delta since the previous call and warm-start from its basis.
-    Semantically equivalent to {!solve} (same optimal value; possibly a
-    different optimal vertex when ties exist). *)
+(** Solve the accumulated program, keeping live solver state inside [t]:
+    subsequent calls push only the delta since the previous call and
+    warm-start from its basis.  A warm re-solve reaches the same optimal
+    value as a fresh problem holding the same program (possibly a
+    different optimal vertex when ties exist).  The assignment function
+    returns 0 for every variable when the program is not [Solved]. *)
 
 val last_info : t -> solve_info
-(** Statistics of the most recent {!solve} / {!solve_incremental}. *)
+(** Statistics of the most recent {!solve_incremental}; all zero after a
+    fault-injected solve ({!set_fault}). *)
 
 (** Simplex multipliers of the last optimum, in problem coordinates. *)
 type duals = {
   d_rows : float array;
       (** per constraint (by {!row_id}): its dual value.  For a binding
-          [<=] row at a minimum the dual is [<= 0].  0 for rows presolve
-          removed outright. *)
-  d_vars : float array;
-      (** per variable: its reduced cost (0 when basic, or when presolve
-          substituted the variable out). *)
+          [<=] row at a minimum the dual is [<= 0]. *)
+  d_vars : float array;  (** per variable: its reduced cost (0 when basic) *)
 }
 
 val set_capture_duals : t -> bool -> unit
-(** When on, {!solve} and {!solve_incremental} snapshot the dual values
-    and reduced costs of each optimal solve for {!last_duals}.  Off by
-    default; when off neither path allocates anything extra.  Capture
-    never changes the pivot sequence, so assignments and objectives are
-    bitwise identical either way.  The [Dense] engine and fault-injected
-    solves never capture. *)
+(** When on, {!solve_incremental} snapshots the dual values and reduced
+    costs of each optimal solve for {!last_duals}.  Off by default; when
+    off it allocates nothing extra.  Capture never changes the pivot
+    sequence, so assignments and objectives are bitwise identical either
+    way.  Fault-injected solves never capture. *)
 
 val last_duals : t -> duals option
-(** Duals of the most recent solve; [None] when capture was off, the
-    solve was not optimal, or the path does not support capture. *)
+(** Duals of the most recent solve; [None] when capture was off or the
+    solve was not optimal. *)
 
 val set_fault : status option -> unit
-(** Fault-injection seam: while [Some s] is installed, {!solve} and
-    {!solve_incremental} skip the simplex entirely and report [s] with
+(** Fault-injection seam: while [Some s] is installed,
+    {!solve_incremental} skips the simplex entirely and reports [s] with
     the all-zero assignment.  Used by tests and the bench robustness
     gate to exercise the pipeline's graceful-degradation path (an
     organically infeasible program cannot arise from the SherLock

@@ -847,9 +847,6 @@ let solve_tableau ?ub ~num_vars ~objective constrs =
   in
   (outcome, last_stats t, t)
 
-let solve_counted ?ub ~num_vars ~objective constrs =
-  let outcome, stats, _ = solve_tableau ?ub ~num_vars ~objective constrs in
-  (outcome, stats)
-
 let solve ?ub ~num_vars ~objective constrs =
-  fst (solve_counted ?ub ~num_vars ~objective constrs)
+  let outcome, _, _ = solve_tableau ?ub ~num_vars ~objective constrs in
+  outcome

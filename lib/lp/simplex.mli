@@ -13,8 +13,8 @@
     rule after a long degenerate streak.
 
     Beyond the one-shot {!solve} (the drop-in replacement for the seed
-    dense tableau in {!Dense}), the module exposes an incremental state:
-    columns and rows append over time (an appended row's slack or
+    dense tableau, kept as a test oracle), the module exposes an
+    incremental state: columns and rows append over time (an appended row's slack or
     artificial joins the basis and the factorization is rebuilt lazily),
     right-hand sides may be edited in place, and {!reoptimize} restarts
     from the previous optimal basis — primal if it is still feasible, a
@@ -42,8 +42,9 @@ type outcome =
 exception Iteration_limit
 (** Raised by solves (and {!reoptimize}) when a pivot sequence exceeds
     the limit — see {!set_pivot_limit}.  The state invalidates itself
-    first, so the next solve starts cold.  Callers ({!Problem.solve})
-    map it to a non-[Solved] status rather than letting it escape. *)
+    first, so the next solve starts cold.  Callers
+    ({!Problem.solve_incremental}) map it to a non-[Solved] status
+    rather than letting it escape. *)
 
 val solve :
   ?ub:float array ->
@@ -68,14 +69,6 @@ type stats = {
   eta_len : int;
       (** longest product-form eta file reached before a rebuild *)
 }
-
-val solve_counted :
-  ?ub:float array ->
-  num_vars:int ->
-  objective:(int * float) list ->
-  constr list ->
-  outcome * stats
-(** {!solve} plus the solve statistics. *)
 
 (** {1 Incremental state} *)
 
@@ -149,8 +142,8 @@ val solve_tableau :
   objective:(int * float) list ->
   constr list ->
   outcome * stats * t
-(** {!solve_counted}, additionally returning the solver state the
-    optimum was computed on, so callers can read {!row_duals} and
+(** {!solve}, additionally returning the solve statistics and the
+    solver state the optimum was computed on, so callers can read {!row_duals} and
     {!reduced_costs} off it.  Row [i] of the state is [List.nth constrs i]
     (rows are pushed in list order). *)
 

@@ -3,8 +3,8 @@
     CSR-style rows plus per-column occurrence lists, both kept in sync on
     append.  This is the storage behind the revised simplex in {!Simplex}:
     pricing walks column occurrence lists ([col_dot]) against the dense
-    working quantities, ratio tests walk them against the basis inverse,
-    and presolve walks rows.  Rows and columns are append-only, matching
+    working quantities and ratio tests walk them against the basis
+    inverse.  Rows and columns are append-only, matching
     the incremental LP lifecycle (the encoding only ever gains variables
     and constraints across rounds). *)
 

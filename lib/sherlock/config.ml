@@ -24,7 +24,6 @@ type t = {
   max_steps : int;
   retries : int;
   fault_plan : Sherlock_sim.Fault.plan;
-  lp_engine : Sherlock_lp.Problem.engine;
   use_warm_start : bool;
   provenance : bool;
   metrics_interval_ms : int;
@@ -57,7 +56,6 @@ let default =
     max_steps = 1_000_000;
     retries = 1;
     fault_plan = Sherlock_sim.Fault.empty;
-    lp_engine = Sherlock_lp.Problem.Sparse;
     use_warm_start = true;
     provenance = false;
     metrics_interval_ms = 0;
@@ -70,9 +68,6 @@ let pp ppf t =
     t.lambda t.near t.window_cap t.delay_us t.rounds t.threshold t.seed
     t.parallelism t.max_steps t.retries;
   if t.extract_jobs > 1 then Format.fprintf ppf " extract-jobs=%d" t.extract_jobs;
-  (match t.lp_engine with
-  | Sherlock_lp.Problem.Sparse -> ()
-  | Sherlock_lp.Problem.Dense -> Format.fprintf ppf " lp=dense");
   if not t.use_warm_start then Format.fprintf ppf " warm-start=off";
   if t.provenance then Format.fprintf ppf " provenance=on";
   if t.metrics_interval_ms > 0 then

@@ -4,16 +4,13 @@ open Sherlock_lp
 (* LP-engine counters aggregated over every simplex call of one round
    (the base solve plus each rounding-pin re-solve). *)
 type lp_stats = {
-  lp_engine : Problem.engine;
   lp_solves : int;
   lp_pivots : int;
   lp_warm_solves : int;  (* solves that started from a previous basis *)
   lp_pivots_saved : int;
   lp_presolve_rows : int;
-  lp_presolve_vars : int;
-  lp_merged_sides : int;
-      (* window sides mapped onto an existing hinge by the incremental
-         encoder (cumulative over the state's lifetime) *)
+      (* window sides this round kept out of the simplex: merged onto an
+         existing hinge, or belonging to an already-racy window *)
   lp_cold_restarts : int;
   lp_refactors : int;
   lp_eta_len : int; (* longest basis eta file any solve reached *)
@@ -21,16 +18,13 @@ type lp_stats = {
       (* cap rows the bounded-variable encoding kept out of the matrix *)
 }
 
-let zero_lp engine =
+let zero_lp =
   {
-    lp_engine = engine;
     lp_solves = 0;
     lp_pivots = 0;
     lp_warm_solves = 0;
     lp_pivots_saved = 0;
     lp_presolve_rows = 0;
-    lp_presolve_vars = 0;
-    lp_merged_sides = 0;
     lp_cold_restarts = 0;
     lp_refactors = 0;
     lp_eta_len = 0;
@@ -44,8 +38,6 @@ let fold_lp acc (i : Problem.solve_info) =
     lp_pivots = acc.lp_pivots + i.pivots;
     lp_warm_solves = (acc.lp_warm_solves + if i.warm then 1 else 0);
     lp_pivots_saved = acc.lp_pivots_saved + i.pivots_saved;
-    lp_presolve_rows = acc.lp_presolve_rows + i.presolve_removed_rows;
-    lp_presolve_vars = acc.lp_presolve_vars + i.presolve_fixed_vars;
     lp_cold_restarts = acc.lp_cold_restarts + i.cold_restarts;
     lp_refactors = acc.lp_refactors + i.refactors;
     lp_eta_len = max acc.lp_eta_len i.eta_len;
@@ -84,10 +76,10 @@ let role_suffix = function Acquire -> "^acq" | Release -> "^rel"
 (* Deterministic symmetry breaking.  The encoding regularly has multiple
    optimal vertices (two candidates covering the same windows at the same
    cost); which one a simplex run lands on depends on pivot order, which
-   differs between engines and between the one-shot and incremental
-   paths.  A tiny per-variable cost keyed on the operation's identity
-   (not its variable id, which is path-dependent) makes the optimum
-   generically unique, so every path reports the same verdicts.  The
+   differs between a warm re-solve and a fresh-state solve of the same
+   observations.  A tiny per-variable cost keyed on the operation's
+   identity (not its variable id, which depends on encoding order) makes
+   the optimum generically unique, so both report the same verdicts.  The
    magnitude — at most 2e-6 per variable — is far above the solver's
    1e-9 tolerance and far below any data-driven cost difference. *)
 let tie_cost op role =
@@ -132,8 +124,8 @@ let side_key config vars side role =
 (* Largest fractional variable to pin to 1 during rounding.  Values
    within 1e-6 of the maximum count as tied (different pivot sequences
    leave different last-bit noise on the same vertex), and ties break on
-   the operation's name — stable across solve paths and engines, unlike
-   variable ids or hash-table iteration order. *)
+   the operation's name — stable across warm and fresh-state solves,
+   unlike variable ids or hash-table iteration order. *)
 let pick_pin (config : Config.t) table assignment =
   let cands = ref [] in
   Hashtbl.iter
@@ -293,7 +285,7 @@ let capture_evidence (config : Config.t) obs problem table verdicts assignment
           })
     verdicts
 
-(* Shared tail of both solve paths: verdicts, stats, telemetry. *)
+(* Solve tail: verdicts, stats, telemetry. *)
 let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
     ~t_start status assignment =
   let module Tspan = Sherlock_telemetry.Span in
@@ -335,181 +327,23 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
     } )
 
 (* ------------------------------------------------------------------ *)
-(* One-shot path: rebuild the whole LP from the observations.  Used
-   when warm starts are off and as the reference for equivalence tests. *)
-
-let solve_oneshot (config : Config.t) obs previous t_start =
-  let problem = Problem.create () in
-  Problem.set_engine problem config.lp_engine;
-  Problem.set_capture_duals problem config.provenance;
-  let vars = { problem; table = Hashtbl.create 64 } in
-  let windows =
-    List.filter
-      (fun (w : Observations.merged_window) ->
-        not (config.use_race_removal && Observations.is_racy_pair obs w.pair))
-      (Observations.windows obs)
-  in
-  (* Instantiate variables for every candidate op so that the rare /
-     paired / variation terms see them even when the protected hypothesis
-     is ablated. *)
-  let candidates = ref Opid.Set.empty in
-  List.iter
-    (fun (w : Observations.merged_window) ->
-      Opid.Map.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.rel;
-      Opid.Map.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.acq)
-    windows;
-  Opid.Set.iter
-    (fun op -> List.iter (fun role -> ignore (var_of vars op role)) (feasible_roles config op))
-    !candidates;
-  (* Mostly Protected (Equation 2). *)
-  if config.use_protected then
-    List.iteri
-      (fun i (w : Observations.merged_window) ->
-        let weight = float_of_int w.weight in
-        let term role side tag =
-          let sum = side_sum config vars side role in
-          ignore
-            (Problem.hinge vars.problem ~weight
-               (Printf.sprintf "%s(w%d)" tag i)
-               (Linexpr.sub (Linexpr.const 1.0) sum))
-        in
-        term Release w.rel "rel";
-        term Acquire w.acq "acq")
-      windows;
-  let lambda = config.lambda in
-  Hashtbl.iter
-    (fun (op, role) v ->
-      Problem.add_objective problem (Linexpr.var ~coeff:(tie_cost op role) v))
-    vars.table;
-  (* Synchronizations are Rare (Equations 3 and 4). *)
-  if config.use_rare then
-    Hashtbl.iter
-      (fun (op, _role) v ->
-        let rare = config.rare_coeff *. Observations.avg_occurrence obs op in
-        Problem.add_objective problem (Linexpr.var ~coeff:(lambda *. (1.0 +. rare)) v))
-      vars.table;
-  (* Acquisition-Time Mostly Varies (Equation 5): penalize begin^acq of
-     methods whose duration varies little compared to the others. *)
-  if config.use_variation then begin
-    let durs = Observations.durations obs in
-    Hashtbl.iter
-      (fun ((op : Opid.t), role) v ->
-        if role = Acquire && op.kind = Opid.Begin then begin
-          let pct = Durations.cv_percentile durs (Opid.method_key op) in
-          let coeff = lambda *. (1.0 -. pct) in
-          if coeff > 0.0 then Problem.add_objective problem (Linexpr.var ~coeff v)
-        end)
-      vars.table
-  end;
-  (* Mostly Paired (Equations 6 and 7). *)
-  if config.use_paired then begin
-    (* Per-class method balance. *)
-    let by_class : (string, Linexpr.t ref) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun ((op : Opid.t), role) v ->
-        if Opid.is_frame op then begin
-          let signed =
-            match role with
-            | Acquire -> Linexpr.var v
-            | Release -> Linexpr.var ~coeff:(-1.0) v
-          in
-          match Hashtbl.find_opt by_class op.cls with
-          | Some r -> r := Linexpr.add !r signed
-          | None -> Hashtbl.add by_class op.cls (ref signed)
-        end)
-      vars.table;
-    Hashtbl.iter
-      (fun cls expr ->
-        ignore (Problem.abs problem ~weight:lambda ("pair_c(" ^ cls ^ ")") !expr))
-      by_class;
-    (* Per-field read-acquire / write-release balance. *)
-    let fields = ref Opid.Set.empty in
-    Hashtbl.iter
-      (fun ((op : Opid.t), _) _ ->
-        if Opid.is_access op then
-          fields := Opid.Set.add { op with kind = Opid.Read } !fields)
-      vars.table;
-    Opid.Set.iter
-      (fun read_op ->
-        let write_op = { read_op with kind = Opid.Write } in
-        let term op role sign =
-          match Hashtbl.find_opt vars.table (op, role) with
-          | Some v -> Linexpr.var ~coeff:sign v
-          | None -> Linexpr.zero
-        in
-        let expr =
-          Linexpr.add (term read_op Acquire 1.0) (term write_op Release (-1.0))
-        in
-        ignore
-          (Problem.abs problem ~weight:lambda
-             ("pair_f(" ^ Opid.field_key read_op ^ ")")
-             expr))
-      !fields
-  end;
-  (* Single Role for library APIs. *)
-  if config.use_single_role then begin
-    let methods = ref Opid.Set.empty in
-    Hashtbl.iter
-      (fun ((op : Opid.t), _) _ ->
-        if Opid.is_frame op && Opid.is_system op then
-          methods := Opid.Set.add { op with kind = Opid.Begin } !methods)
-      vars.table;
-    Opid.Set.iter
-      (fun begin_op ->
-        let end_op = { begin_op with kind = Opid.End } in
-        match
-          ( Hashtbl.find_opt vars.table (begin_op, Acquire),
-            Hashtbl.find_opt vars.table (end_op, Release) )
-        with
-        | Some b, Some e ->
-          let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in
-          if config.single_role_soft then
-            (* Extension (paper §5.5): penalize the violation rather than
-               forbid it, so APIs like UpgradeToWriterLock can keep both
-               roles when the windows demand it. *)
-            ignore
-              (Problem.hinge problem ~weight:lambda
-                 ("single_role(" ^ Opid.method_key begin_op ^ ")")
-                 (Linexpr.sub sum (Linexpr.const 1.0)))
-          else Problem.add_le problem sum 1.0
-        | _ -> ())
-      !methods
-  end;
-  (* The LP relaxation occasionally leaves a tie split fractionally (for
-     example 0.5/0.5 across a Single-Role pair), which the paper's
-     "variables assigned 1" reading would silently drop.  Round by
-     repeatedly pinning the largest fractional variable to 1 and
-     re-solving — a cheap branch-free integrality repair. *)
-  let lp = ref (zero_lp (Problem.engine problem)) in
-  let rec solve_rounded budget =
-    let status, assignment = Problem.solve problem in
-    lp := fold_lp !lp (Problem.last_info problem);
-    let solved = match status with Problem.Solved _ -> true | _ -> false in
-    if budget = 0 || not solved then (status, assignment)
-    else
-      match pick_pin config vars.table assignment with
-      | None -> (status, assignment)
-      | Some (v, _) ->
-        Problem.add_ge ~tag:"pin" problem (Linexpr.var v) 1.0;
-        solve_rounded (budget - 1)
-  in
-  let status, assignment = solve_rounded 25 in
-  finish config obs problem vars.table ~num_windows:(List.length windows)
-    ~lp:!lp ~previous ~t_start status assignment
-
-(* ------------------------------------------------------------------ *)
-(* Incremental path: a [state] keeps the LP, the variable table, and
+(* The encoder: a [state] keeps the LP, the variable table, and
    per-window hinge cells alive across rounds.  Each round encodes only
    the window suffix added since the previous round (Observations ids
    are stable), recomputes the data-dependent weights, and reoptimizes
-   the live simplex from the previous basis.
+   the live simplex from the previous basis.  A stateless solve is the
+   same path on a fresh state.
 
    Invariants making this sound (see DESIGN.md):
    - window identity never changes, only its weight grows, and weights
      appear only in the objective — so a re-observed window is an
      objective edit, not a constraint edit;
-   - race removal zeroes a hinge's weight, leaving its rows vacuous;
-   - candidate variables appearing only in racy windows carry a strictly
+   - already-racy windows are never encoded: racy pairs only accumulate,
+     so such a window would weigh 0 in every later round, and skipping
+     it keeps its candidates and vacuous hinge rows out of the LP;
+   - a window whose pair races only after it was encoded keeps its
+     hinge, with weight 0, leaving its rows vacuous;
+   - candidate variables appearing only in such windows carry a strictly
      positive rare cost and no compensating weight, so they stay 0 at
      every optimum;
    - rounding pins are relaxed to [x >= 0] after each round, so they
@@ -521,12 +355,11 @@ type state = {
   mutable s_hinges : (Problem.var list, Problem.var) Hashtbl.t;
       (* side variable-set -> its hinge; distinct window sides with the
          same candidate variables share one hinge row (their weights
-         add), mirroring what Presolve's duplicate-row merge does for
-         the one-shot path *)
+         add) *)
   mutable s_whinges : (Problem.var option * Problem.var option) array;
-      (* window id -> (release hinge, acquire hinge) *)
+      (* window id -> (release hinge, acquire hinge); (None, None) for
+         windows skipped as already racy *)
   mutable s_nwin : int;  (* windows encoded so far (watermark) *)
-  mutable s_merged : int;
   mutable s_class_abs : (string, string * Problem.var) Hashtbl.t;
       (* class -> (term signature, abs var); a new method variable
          changes the signature and allocates a fresh abs var — the old
@@ -543,20 +376,16 @@ let create_state () =
     s_hinges = Hashtbl.create 64;
     s_whinges = [||];
     s_nwin = 0;
-    s_merged = 0;
     s_class_abs = Hashtbl.create 16;
     s_field_abs = Hashtbl.create 16;
     s_single = Hashtbl.create 16;
   }
 
-let reset_state st (config : Config.t) =
-  let problem = Problem.create () in
-  Problem.set_engine problem config.lp_engine;
-  st.s_vars <- { problem; table = Hashtbl.create 64 };
+let reset_state st =
+  st.s_vars <- { problem = Problem.create (); table = Hashtbl.create 64 };
   st.s_hinges <- Hashtbl.create 64;
   st.s_whinges <- [||];
   st.s_nwin <- 0;
-  st.s_merged <- 0;
   st.s_class_abs <- Hashtbl.create 16;
   st.s_field_abs <- Hashtbl.create 16;
   st.s_single <- Hashtbl.create 16
@@ -572,7 +401,9 @@ let register_candidates config vars (w : Observations.merged_window) =
   reg w.acq
 
 (* Encode the window suffix [s_nwin, window_count): candidate variables
-   plus (when Mostly Protected is on) one hinge per distinct side. *)
+   plus (when Mostly Protected is on) one hinge per distinct side.
+   Returns how many sides stayed out of the simplex — merged onto an
+   existing hinge, or belonging to a window skipped as already racy. *)
 let sync_windows st (config : Config.t) obs =
   let count = Observations.window_count obs in
   if count > Array.length st.s_whinges then begin
@@ -580,36 +411,43 @@ let sync_windows st (config : Config.t) obs =
     Array.blit st.s_whinges 0 a 0 st.s_nwin;
     st.s_whinges <- a
   end;
+  let kept_out = ref 0 in
   for i = st.s_nwin to count - 1 do
     let w = Observations.window_at obs i in
-    register_candidates config st.s_vars w;
-    if config.use_protected then begin
-      let hinge_for role side tag =
-        let key = side_key config st.s_vars side role in
-        match Hashtbl.find_opt st.s_hinges key with
-        | Some h ->
-          st.s_merged <- st.s_merged + 1;
-          h
-        | None ->
-          let sum = side_sum config st.s_vars side role in
-          let h =
-            Problem.hinge_var st.s_vars.problem
-              (Printf.sprintf "%s(w%d)" tag i)
-              (Linexpr.sub (Linexpr.const 1.0) sum)
-          in
-          Hashtbl.add st.s_hinges key h;
-          h
-      in
-      let rh = hinge_for Release w.rel "rel" in
-      let ah = hinge_for Acquire w.acq "acq" in
-      st.s_whinges.(i) <- (Some rh, Some ah)
+    if config.use_race_removal && Observations.is_racy_pair obs w.pair then begin
+      if config.use_protected then kept_out := !kept_out + 2
+    end
+    else begin
+      register_candidates config st.s_vars w;
+      if config.use_protected then begin
+        let hinge_for role side tag =
+          let key = side_key config st.s_vars side role in
+          match Hashtbl.find_opt st.s_hinges key with
+          | Some h ->
+            incr kept_out;
+            h
+          | None ->
+            let sum = side_sum config st.s_vars side role in
+            let h =
+              Problem.hinge_var st.s_vars.problem
+                (Printf.sprintf "%s(w%d)" tag i)
+                (Linexpr.sub (Linexpr.const 1.0) sum)
+            in
+            Hashtbl.add st.s_hinges key h;
+            h
+        in
+        let rh = hinge_for Release w.rel "rel" in
+        let ah = hinge_for Acquire w.acq "acq" in
+        st.s_whinges.(i) <- (Some rh, Some ah)
+      end
     end
   done;
-  st.s_nwin <- count
+  st.s_nwin <- count;
+  !kept_out
 
 (* Recompute every hinge's weight from the full window set, skipping
    windows whose pair has raced.  Also counts the active (non-racy)
-   windows — the [num_windows] the one-shot path reports. *)
+   windows, reported as [num_windows]. *)
 let hinge_weights st (config : Config.t) obs =
   let wt : (Problem.var, float) Hashtbl.t = Hashtbl.create 256 in
   let active = ref 0 in
@@ -764,23 +602,28 @@ let build_objective st (config : Config.t) obs wt =
       st.s_single;
   Problem.set_objective problem !acc
 
-let solve_warm st (config : Config.t) obs previous t_start =
+let solve ?state:(st = create_state ()) ?(previous = []) (config : Config.t)
+    obs =
+  let module Tspan = Sherlock_telemetry.Span in
+  Tspan.with_span ~name:"solve" @@ fun () ->
+  let t_start = Unix.gettimeofday () in
   (match st.s_obs with
   | Some o when o == obs -> ()
   | _ ->
-    (* Fresh observations (new inference, or accumulate off): the cached
-       encoding describes different data — start over. *)
-    reset_state st config;
+    (* A fresh state, or fresh observations (new inference, or
+       accumulate off): any cached encoding describes different data —
+       start over. *)
+    reset_state st;
     st.s_obs <- Some obs);
   let problem = st.s_vars.problem in
   let table = st.s_vars.table in
   Problem.set_capture_duals problem config.provenance;
-  sync_windows st config obs;
+  let kept_out = sync_windows st config obs in
   if config.use_paired then sync_paired st;
   if config.use_single_role then sync_single st config;
   let wt, num_windows = hinge_weights st config obs in
   build_objective st config obs wt;
-  let lp = ref { (zero_lp (Problem.engine problem)) with lp_merged_sides = st.s_merged } in
+  let lp = ref { zero_lp with lp_presolve_rows = kept_out } in
   let pins = ref [] in
   let rec solve_rounded budget =
     let status, assignment = Problem.solve_incremental problem in
@@ -801,13 +644,3 @@ let solve_warm st (config : Config.t) obs previous t_start =
   List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
   finish config obs problem table ~num_windows ~lp:!lp ~previous ~t_start
     status assignment
-
-let solve ?state ?(previous = []) (config : Config.t) obs =
-  let module Tspan = Sherlock_telemetry.Span in
-  Tspan.with_span ~name:"solve" @@ fun () ->
-  let t_start = Unix.gettimeofday () in
-  match state with
-  | Some st ->
-    Tspan.add_attr "warm" (Tspan.Bool true);
-    solve_warm st config obs previous t_start
-  | None -> solve_oneshot config obs previous t_start

@@ -20,28 +20,27 @@
 
     All non-protected terms are scaled by [lambda] (Equation 8).
 
-    Two equivalent solve paths.  Without [?state], each call builds the
-    LP from scratch and solves it one-shot.  With [?state], the LP lives
-    across calls: round k+1 appends only the windows added since round k
-    (hinge rows for already-seen sides are shared, with weights summed),
-    rebuilds the objective with recomputed weights, and warm-starts the
-    simplex from round k's optimal basis. *)
+    One encode path.  The LP lives in a {!state} across calls: round k+1
+    appends only the windows added since round k (hinge rows for
+    already-seen sides are shared, with weights summed; windows whose
+    pair has already raced are never encoded), rebuilds the objective
+    with recomputed weights, and warm-starts the simplex from round k's
+    optimal basis.  A call without [?state] runs the same path on a
+    fresh state. *)
 
 (** LP-engine counters aggregated over one round's simplex calls (the
     base solve plus each rounding-pin re-solve). *)
 type lp_stats = {
-  lp_engine : Sherlock_lp.Problem.engine;
   lp_solves : int;
   lp_pivots : int;
   lp_warm_solves : int;
       (** solves that started from a previous round's basis *)
   lp_pivots_saved : int;
       (** structural basis columns inherited at warm starts *)
-  lp_presolve_rows : int;  (** rows removed by presolve (one-shot path) *)
-  lp_presolve_vars : int;  (** variables fixed by presolve *)
-  lp_merged_sides : int;
-      (** window sides the incremental encoder mapped onto an existing
-          hinge row (cumulative over the state's lifetime) *)
+  lp_presolve_rows : int;
+      (** duplicate or useless hinge rows kept out of the simplex this
+          round: window sides merged onto an existing hinge, plus the
+          sides of windows skipped because their pair already raced *)
   lp_cold_restarts : int;
       (** warm attempts that fell back to a from-scratch basis *)
   lp_refactors : int;  (** basis refactorizations across the solves *)
@@ -80,7 +79,8 @@ type state
     basis), the operation-variable table, and per-window hinge cells.
     A state follows one [Observations.t]: passing a physically different
     observations value resets it transparently (so [accumulate = false],
-    which rebuilds observations per round, degrades to cold solves). *)
+    which rebuilds observations per round, degrades to fresh-state
+    solves). *)
 
 val create_state : unit -> state
 
@@ -97,8 +97,9 @@ val solve :
 
     With [?state], the encode is incremental and the solve warm-starts
     from the previous call's basis (same optimal objective; the verdict
-    set is intended to be identical and is checked by the equivalence
-    suite).
+    set is intended to be identical to a fresh-state solve and is
+    checked by the equivalence suite).  Without it, a fresh state is
+    used and discarded.
 
     If the LP comes back infeasible or unbounded the solve does not
     raise: it returns [previous] (default [\[\]] — typically the prior

@@ -82,7 +82,7 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
       ~header:
         [
           "Round"; "Events"; "Pairs"; "Capped"; "Windows"; "Races"; "Inj";
-          "Failed"; "Lost"; "LP"; "Pivots"; "Presolve"; "Run s"; "Extract s";
+          "Failed"; "Lost"; "LP"; "Pivots"; "Rows out"; "Run s"; "Extract s";
           "Solve s";
         ]
   in
@@ -91,12 +91,7 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
   (* The LP cells are per-round, not cumulative: each round's
      [stats.lp] already covers just that round's solve sequence. *)
   let lp_cell (l : Encoder.lp_stats) =
-    let engine =
-      match l.lp_engine with
-      | Sherlock_lp.Problem.Dense -> "dense"
-      | Sherlock_lp.Problem.Sparse -> "sparse"
-    in
-    if l.lp_warm_solves > 0 then engine ^ "+warm" else engine
+    if l.lp_warm_solves > 0 then "warm" else "cold"
   in
   let pivots_cell (l : Encoder.lp_stats) =
     let base =
@@ -108,9 +103,10 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
       Printf.sprintf "%s f%d e%d" base l.lp_refactors l.lp_eta_len
     else base
   in
-  let presolve_cell (l : Encoder.lp_stats) =
-    Printf.sprintf "r%d v%d b%d" l.lp_presolve_rows l.lp_presolve_vars
-      l.lp_bound_rows_saved
+  (* Rows kept out of the simplex: hinge sides merged or skipped as
+     already racy ([r]), and cap rows turned into column bounds ([b]). *)
+  let rows_out_cell (l : Encoder.lp_stats) =
+    Printf.sprintf "r%d b%d" l.lp_presolve_rows l.lp_bound_rows_saved
   in
   let prev = ref (Metrics.create ()) in
   List.iter
@@ -129,7 +125,7 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
           string_of_int (Orchestrator.incomplete_runs r.run_reports);
           (if r.stats.degraded then "degraded" else lp_cell r.stats.lp);
           pivots_cell r.stats.lp;
-          presolve_cell r.stats.lp;
+          rows_out_cell r.stats.lp;
           sec_cell m.run_s p.run_s;
           sec_cell m.extract_s p.extract_s;
           sec_cell m.solve_s p.solve_s;

@@ -129,13 +129,15 @@ let test_unsafe_api_flags () =
   check Alcotest.bool "App-7 unsafe" true (Registry.find "App-7").uses_unsafe_apis;
   check Alcotest.bool "App-2 safe" false (Registry.find "App-2").uses_unsafe_apis
 
-(* Warm starts and the sparse engine are pure optimizations: every app
-   must produce the identical verdict list (down to probabilities) with
-   warm starts on vs off and with the sparse vs the seed dense engine.
-   Compared in printed form — structural equality would be fooled by
-   last-bit float differences that the renderer rounds away. *)
+(* Warm starts are a pure optimization: every app must produce the
+   identical verdict list (down to probabilities) whether the encoder
+   state lives across rounds or starts fresh each round.  Compared in
+   printed form — structural equality would be fooled by last-bit float
+   differences that the renderer rounds away. *)
 let show_verdicts vs =
   String.concat ";" (List.map (fun v -> Format.asprintf "%a" Verdict.pp v) vs)
+
+let digest vs = Digest.to_hex (Digest.string (show_verdicts vs))
 
 let test_lp_paths_equivalent () =
   List.iter
@@ -143,19 +145,93 @@ let test_lp_paths_equivalent () =
       let final config = (Orchestrator.infer ~config (App.subject a)).final in
       let warm = final Config.default in
       let cold = final { Config.default with use_warm_start = false } in
-      let dense =
-        final
-          {
-            Config.default with
-            use_warm_start = false;
-            lp_engine = Sherlock_lp.Problem.Dense;
-          }
-      in
       check Alcotest.string (a.id ^ " warm = cold") (show_verdicts cold)
-        (show_verdicts warm);
-      check Alcotest.string (a.id ^ " sparse = dense") (show_verdicts dense)
-        (show_verdicts cold))
+        (show_verdicts warm))
     apps
+
+(* Final-verdict digests pinned when the one-shot encoder, the
+   incremental encoder, and the dense engine still coexisted and agreed
+   on every entry below.  They guard the single remaining LP path: a
+   digest may change only with a CHANGES.md entry saying why.  Columns:
+   default config, warm starts off, accumulation off, soft Single Role. *)
+let pinned_corpus =
+  [
+    ( "App-1",
+      [ "6d90a1e5b1f4fa3c07ed8e9a0da05777"; "6d90a1e5b1f4fa3c07ed8e9a0da05777";
+        "c025ec4638ebeb7889dd8dec446586b6"; "6d90a1e5b1f4fa3c07ed8e9a0da05777" ] );
+    ( "App-2",
+      [ "2689ee88fb9a8fa8f63bd7d2171c3a74"; "2689ee88fb9a8fa8f63bd7d2171c3a74";
+        "fd65c231254660e073be687d6db94b15"; "2689ee88fb9a8fa8f63bd7d2171c3a74" ] );
+    ( "App-3",
+      [ "b80690fa3427bf0af21e26e6007510cf"; "b80690fa3427bf0af21e26e6007510cf";
+        "442082f69ab525981bfbd63e67eb7738"; "b80690fa3427bf0af21e26e6007510cf" ] );
+    ( "App-4",
+      [ "4d4fc8f63120928644032f9b27c5fa31"; "4d4fc8f63120928644032f9b27c5fa31";
+        "7d9bc64318c8ea226a8f419ff46f1583"; "4d4fc8f63120928644032f9b27c5fa31" ] );
+    ( "App-5",
+      [ "0f20f861a86e1f582921fd21b6399525"; "0f20f861a86e1f582921fd21b6399525";
+        "306c45187ee312d155f2487030301125"; "cd0f9bb21e454f3841ed871793c10faa" ] );
+    ( "App-6",
+      [ "82446c3f88e87c56a5bfa66f31166cac"; "82446c3f88e87c56a5bfa66f31166cac";
+        "c0e431afab00eb989e901c33de72c718"; "82446c3f88e87c56a5bfa66f31166cac" ] );
+    ( "App-7",
+      [ "f149d059e4ebef5f5e18afd8c770b19f"; "f149d059e4ebef5f5e18afd8c770b19f";
+        "cf54591d2d20e6bd209c6dcdea4bebc8"; "f149d059e4ebef5f5e18afd8c770b19f" ] );
+    ( "App-8",
+      [ "1d5f7055344d2cc828676f40a2b235f5"; "1d5f7055344d2cc828676f40a2b235f5";
+        "25801ee06bff7cc503bf298a88195bb6"; "1d5f7055344d2cc828676f40a2b235f5" ] );
+  ]
+
+let test_pinned_corpus_digests () =
+  let configs =
+    [
+      ("default", Config.default);
+      ("warm starts off", { Config.default with use_warm_start = false });
+      ("accumulate off", { Config.default with accumulate = false });
+      ("soft single role", { Config.default with single_role_soft = true });
+    ]
+  in
+  List.iter
+    (fun (id, digests) ->
+      let subject = App.subject (Registry.find id) in
+      List.iter2
+        (fun (name, config) expected ->
+          check Alcotest.string
+            (Printf.sprintf "%s %s" id name)
+            expected
+            (digest (Orchestrator.infer ~config subject).final))
+        configs digests)
+    pinned_corpus
+
+(* The stateless [Encoder.solve] (the solve-trace path) over Synth logs
+   shaped like the offline-trace benchmark's inputs: (events, seed,
+   digest), pinned alongside the corpus digests above. *)
+let pinned_synth =
+  [
+    (600, 1, "53ec37adaebc3f92b7c3d807f812fd10");
+    (600, 2, "4833dffb8eb2f0c15517a1528602a84d");
+    (600, 3, "31b2a2f8cd084daa31e9c072168df3c8");
+    (1200, 1, "df31b8542024e776a570baa1b36b8470");
+    (1200, 2, "e181d408685fbac230b09004bdd7dd62");
+    (1200, 3, "06e648b88b83f96efa3968ef2f1943ef");
+    (2400, 1, "31b9a0a2a93ed6556beb67eaa37547e4");
+    (2400, 2, "580bcde9cb06953efac4460b9ed87f20");
+    (2400, 3, "914c7a2442de2bfa43cd3e7cbdd81cde");
+  ]
+
+let test_pinned_synth_digests () =
+  let config = Config.default in
+  List.iter
+    (fun (events, seed, expected) ->
+      let log = Sherlock_trace.Synth.log ~seed ~addrs:40 ~threads:8 ~events () in
+      let obs = Observations.create () in
+      Observations.add_log obs ~near:config.near ~cap:config.window_cap
+        ~refine:config.use_refinement log;
+      check Alcotest.string
+        (Printf.sprintf "synth %d events seed %d" events seed)
+        expected
+        (digest (fst (Encoder.solve config obs))))
+    pinned_synth
 
 (* The ≥2x corpus-wide pivot reduction is gated in the bench ("lp"
    section); here just assert the warm path actually reuses bases and
@@ -201,8 +277,12 @@ let () =
         ] );
       ( "lp-equivalence",
         [
-          Alcotest.test_case "warm/cold/dense verdicts identical" `Slow
+          Alcotest.test_case "warm/cold verdicts identical" `Slow
             test_lp_paths_equivalent;
+          Alcotest.test_case "pinned corpus verdict digests" `Slow
+            test_pinned_corpus_digests;
+          Alcotest.test_case "pinned stateless solve digests" `Slow
+            test_pinned_synth_digests;
           Alcotest.test_case "warm starts save pivots" `Slow
             test_warm_start_saves_pivots;
         ] );

@@ -111,7 +111,7 @@ let test_problem_hinge () =
   let p = Problem.create () in
   let a = Problem.add_var p ~ub:0.3 "a" in
   let _ = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved obj, v ->
     check feq "objective" 0.7 obj;
     check feq "a at ub" 0.3 (v a)
@@ -123,7 +123,7 @@ let test_problem_hinge_slack () =
   let a = Problem.add_var p ~ub:2.0 "a" in
   Problem.add_ge p (Linexpr.var a) 2.0;
   let _ = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved obj, _ -> check feq "objective" 0.0 obj
   | _ -> Alcotest.fail "expected solution"
 
@@ -133,7 +133,7 @@ let test_problem_abs () =
   let x = Problem.add_var p ~ub:5.0 "x" in
   let _ = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
   Problem.add_objective p (Linexpr.var ~coeff:0.1 x);
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved obj, v ->
     check feq "x" 2.0 (v x);
     check feq "objective" 0.2 obj
@@ -145,7 +145,7 @@ let test_problem_abs_negative_side () =
   let x = Problem.add_var p ~ub:10.0 "x" in
   Problem.add_ge p (Linexpr.var x) 3.0;
   let t = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved _, v -> check feq "abs value" 1.0 (v t)
   | _ -> Alcotest.fail "expected solution"
 
@@ -161,7 +161,7 @@ let test_problem_eq () =
   let y = Problem.add_var p ~ub:2.0 "y" in
   Problem.add_eq p Linexpr.(add (var x) (var y)) 3.0;
   Problem.add_objective p (Linexpr.var x);
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved obj, v ->
     check feq "objective" 1.0 obj;
     check feq "y" 2.0 (v y)
@@ -173,7 +173,7 @@ let test_problem_constant_folding () =
   let x = Problem.add_var p "x" in
   Problem.add_ge p Linexpr.(add (var x) (const 1.0)) 3.0;
   Problem.add_objective p (Linexpr.var x);
-  match Problem.solve p with
+  match Problem.solve_incremental p with
   | Problem.Solved obj, _ -> check feq "objective" 2.0 obj
   | _ -> Alcotest.fail "expected solution"
 
@@ -243,7 +243,7 @@ let prop_hinge_exact =
       let x = Problem.add_var p ~ub:5.0 "x" in
       Problem.add_eq p (Linexpr.var x) xval;
       let h = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const c) (var x)) in
-      match Problem.solve p with
+      match Problem.solve_incremental p with
       | Problem.Solved _, v -> abs_float (v h -. Float.max 0.0 (c -. xval)) < 1e-6
       | _ -> false)
 
@@ -258,7 +258,7 @@ let prop_abs_exact =
       Problem.add_eq p (Linexpr.var x) a;
       Problem.add_eq p (Linexpr.var y) b;
       let t = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (var y)) in
-      match Problem.solve p with
+      match Problem.solve_incremental p with
       | Problem.Solved _, v -> abs_float (v t -. abs_float (a -. b)) < 1e-6
       | _ -> false)
 
@@ -280,56 +280,6 @@ let prop_linexpr_add_commutes =
       let b = Linexpr.add (to_expr e2) (to_expr e1) in
       let assign v = float_of_int (v + 1) in
       abs_float (Linexpr.eval assign a -. Linexpr.eval assign b) < 1e-9)
-
-(* --- Presolve --- *)
-
-let test_presolve_duplicate_hinge () =
-  (* Two hinges with identical bodies merge into one row whose penalty
-     column carries the summed weight; the optimum is unchanged. *)
-  let p = Problem.create () in
-  let x = Problem.add_var p ~ub:1.0 "x" in
-  let _ = Problem.hinge p ~weight:1.0 "h1" Linexpr.(sub (const 1.0) (var x)) in
-  let _ = Problem.hinge p ~weight:2.0 "h2" Linexpr.(sub (const 1.0) (var x)) in
-  Problem.add_objective p (Linexpr.var ~coeff:10.0 x);
-  match Problem.solve p with
-  | Problem.Solved obj, _ ->
-    check feq "objective" 3.0 obj;
-    check Alcotest.bool "rows merged" true
-      ((Problem.last_info p).presolve_removed_rows > 0)
-  | _ -> Alcotest.fail "expected solution"
-
-let test_presolve_forced_fix () =
-  (* A singleton equality pins x; presolve substitutes it out and the
-     restored assignment still reports the forced value. *)
-  let p = Problem.create () in
-  let x = Problem.add_var p "x" in
-  let y = Problem.add_var p ~ub:4.0 "y" in
-  Problem.add_eq p (Linexpr.var x) 2.0;
-  Problem.add_ge p Linexpr.(add (var x) (var y)) 5.0;
-  Problem.add_objective p Linexpr.(add (var x) (var y));
-  match Problem.solve p with
-  | Problem.Solved obj, v ->
-    check feq "objective" 5.0 obj;
-    check feq "x" 2.0 (v x);
-    check feq "y" 3.0 (v y);
-    check Alcotest.bool "var fixed" true
-      ((Problem.last_info p).presolve_fixed_vars > 0)
-  | _ -> Alcotest.fail "expected solution"
-
-let test_presolve_empty_rows () =
-  let run rhs =
-    Presolve.run ~num_vars:1 ~objective:[ (0, 1.0) ]
-      [
-        { Simplex.row = []; relation = Simplex.Le; rhs };
-        { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 3.0 };
-      ]
-  in
-  let ok = run 5.0 in
-  check Alcotest.bool "vacuous empty row dropped" true
-    (ok.Presolve.r_stats.removed_rows >= 1 && not ok.Presolve.r_infeasible);
-  let bad = run (-1.0) in
-  check Alcotest.bool "violated empty row is infeasible" true
-    bad.Presolve.r_infeasible
 
 (* --- LU factorization --- *)
 
@@ -462,9 +412,7 @@ let test_refactor_threshold () =
     (fun () ->
       Simplex.set_refactor_interval 1;
       let p = pivoty_lp () in
-      Problem.set_engine p Problem.Sparse;
-      Problem.set_presolve p false;
-      match Problem.solve p with
+      match Problem.solve_incremental p with
       | Problem.Solved obj, _ ->
         check feq "optimum unchanged by refactorization" (-3.0) obj;
         let info = Problem.last_info p in
@@ -483,20 +431,35 @@ let test_pivot_cap_aborts_and_recovers () =
     (fun () ->
       Simplex.set_pivot_limit 1;
       let p = pivoty_lp () in
-      (match Problem.solve p with
+      (match Problem.solve_incremental p with
       | Problem.Aborted, v -> check feq "aborted assignment is zero" 0.0 (v 0)
       | _ -> Alcotest.fail "expected Aborted under a 1-pivot cap");
-      let q = pivoty_lp () in
-      (match Problem.solve_incremental q with
-      | Problem.Aborted, _ -> ()
-      | _ -> Alcotest.fail "expected Aborted (incremental)");
       Simplex.set_pivot_limit Simplex.default_pivot_limit;
-      (match Problem.solve_incremental q with
+      (match Problem.solve_incremental p with
       | Problem.Solved obj, _ -> check feq "warm state recovered" (-3.0) obj
       | _ -> Alcotest.fail "expected recovery after lifting the cap");
-      match Problem.solve (pivoty_lp ()) with
-      | Problem.Solved obj, _ -> check feq "one-shot recovered" (-3.0) obj
-      | _ -> Alcotest.fail "expected one-shot recovery")
+      match Problem.solve_incremental (pivoty_lp ()) with
+      | Problem.Solved obj, _ -> check feq "fresh problem recovered" (-3.0) obj
+      | _ -> Alcotest.fail "expected fresh-problem recovery")
+
+(* A fault-injected solve skips the simplex, so it must not leave the
+   previous solve's statistics behind for callers that fold them. *)
+let test_fault_resets_info () =
+  Fun.protect
+    ~finally:(fun () -> Problem.set_fault None)
+    (fun () ->
+      let p = pivoty_lp () in
+      ignore (Problem.solve_incremental p);
+      check Alcotest.bool "first solve pivots" true
+        ((Problem.last_info p).Problem.pivots > 0);
+      Problem.set_fault (Some Problem.Infeasible);
+      (match Problem.solve_incremental p with
+      | Problem.Infeasible, _ -> ()
+      | _ -> Alcotest.fail "expected the injected status");
+      let info = Problem.last_info p in
+      check Alcotest.int "no pivots reported" 0 info.Problem.pivots;
+      check Alcotest.bool "not warm" false info.Problem.warm;
+      check Alcotest.int "no refactors" 0 info.Problem.refactors)
 
 (* Appending a cut that chops off the optimum exercises the dual-simplex
    repair: the reoptimize must stay warm (no cold restart) and leave the
@@ -545,31 +508,24 @@ let test_dual_repair_with_bounds () =
   check feq "x still at its bound" 1.0 (Simplex.value s 0);
   check Alcotest.bool "x flagged at upper" true (Simplex.is_at_upper s 0)
 
-(* A capped variable and no other rows: the sparse engines solve it with
-   a bound flip on an empty basis; the dense oracle still sees the cap
-   as an explicit row. *)
+(* A capped variable and no other rows: the sparse engine solves it with
+   a bound flip on an empty basis; the dense oracle sees the cap as an
+   explicit row. *)
 let test_bound_only_program () =
-  let make () =
-    let p = Problem.create () in
-    let x = Problem.add_var p ~ub:2.0 "x" in
-    Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
-    (p, x)
-  in
-  List.iter
-    (fun engine ->
-      let p, x = make () in
-      Problem.set_engine p engine;
-      match Problem.solve p with
-      | Problem.Solved obj, v ->
-        check feq "objective" (-2.0) obj;
-        check feq "x at cap" 2.0 (v x)
-      | _ -> Alcotest.fail "expected solution")
-    [ Problem.Dense; Problem.Sparse ];
-  let p, x = make () in
+  (match
+     Dense.solve ~num_vars:1
+       ~objective:[ (0, -1.0) ]
+       [ { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 2.0 } ]
+   with
+  | Simplex.Optimal { objective; _ } -> check feq "objective (dense)" (-2.0) objective
+  | _ -> Alcotest.fail "expected dense solution");
+  let p = Problem.create () in
+  let x = Problem.add_var p ~ub:2.0 "x" in
+  Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
   match Problem.solve_incremental p with
   | Problem.Solved obj, v ->
-    check feq "objective (incremental)" (-2.0) obj;
-    check feq "x at cap (incremental)" 2.0 (v x)
+    check feq "objective" (-2.0) obj;
+    check feq "x at cap" 2.0 (v x)
   | _ -> Alcotest.fail "expected solution"
 
 let test_bound_rows_saved () =
@@ -579,7 +535,7 @@ let test_bound_rows_saved () =
   Problem.add_le p Linexpr.(add (var x) (var y)) 1.5;
   Problem.add_objective p
     Linexpr.(add (var ~coeff:(-2.0) x) (var ~coeff:(-1.0) y));
-  (match Problem.solve p with
+  (match Problem.solve_incremental p with
   | Problem.Solved _, _ -> ()
   | _ -> Alcotest.fail "expected solution");
   check Alcotest.int "cap kept out of the sparse matrix" 1
@@ -642,24 +598,131 @@ let same_status a b =
   | Problem.Unbounded, Problem.Unbounded -> true
   | _ -> false
 
-(* The dense seed engine, the sparse engine (with presolve), and the
-   incremental revised simplex agree on outcome and objective. *)
+let status_of_outcome = function
+  | Simplex.Optimal { objective; _ } -> Problem.Solved objective
+  | Simplex.Infeasible -> Problem.Infeasible
+  | Simplex.Unbounded -> Problem.Unbounded
+
+(* --- Optimality certificate --- *)
+
+(* An independent LP-duality check of a claimed optimum of
+   [minimize objective.x] over the problem's rows (cap rows included)
+   and [x >= 0], read only through the public row and dual views:
+   - primal feasibility of every row and of [x >= 0];
+   - dual feasibility: a [<=] row's dual is [<= 0], a [>=] row's
+     [>= 0], and every reduced cost [c_j - sum_i y_i a_ij] is [>= 0]
+     and matches the reported one;
+   - complementary slackness of rows and columns;
+   - the reported objective equals both [c.x] and the dual objective
+     [b.y].
+   Returns the violations found, [[]] for a certified optimum.  Needs
+   dual capture on for the solve. *)
+let certificate ?(tol = 1e-6) p objective (status, assign) =
+  let errs = ref [] in
+  let fail fmt = Printf.ksprintf (fun e -> errs := e :: !errs) fmt in
+  let near a b = abs_float (a -. b) <= tol *. (1.0 +. abs_float a +. abs_float b) in
+  (match (status, Problem.last_duals p) with
+  | Problem.Solved obj, Some d ->
+    let n = Problem.num_vars p in
+    let c = Array.make n 0.0 in
+    List.iter (fun (v, k) -> c.(v) <- c.(v) +. k) objective;
+    let rc = Array.copy c in
+    let dual_obj = ref 0.0 in
+    for i = 0 to Problem.num_rows p - 1 do
+      let ri = Problem.row_info p i in
+      let y = d.Problem.d_rows.(i) in
+      let act = Problem.row_activity p i assign in
+      let slack = act -. ri.Problem.ri_rhs in
+      let scale = 1.0 +. abs_float ri.Problem.ri_rhs in
+      (match ri.Problem.ri_rel with
+      | Simplex.Le ->
+        if slack > tol *. scale then fail "row %d: %g > %g" i act ri.ri_rhs;
+        if y > tol then fail "row %d (<=): dual %g > 0" i y
+      | Simplex.Ge ->
+        if slack < -.tol *. scale then fail "row %d: %g < %g" i act ri.ri_rhs;
+        if y < -.tol then fail "row %d (>=): dual %g < 0" i y
+      | Simplex.Eq ->
+        if abs_float slack > tol *. scale then
+          fail "row %d: %g <> %g" i act ri.ri_rhs);
+      if abs_float (y *. slack) > tol *. scale then
+        fail "row %d: dual %g on slack %g" i y slack;
+      dual_obj := !dual_obj +. (y *. ri.Problem.ri_rhs);
+      List.iter (fun (v, k) -> rc.(v) <- rc.(v) -. (y *. k)) ri.Problem.ri_terms
+    done;
+    let primal_obj = ref 0.0 in
+    for v = 0 to n - 1 do
+      let x = assign v in
+      primal_obj := !primal_obj +. (c.(v) *. x);
+      if x < -.tol then fail "x%d = %g < 0" v x;
+      if rc.(v) < -.tol then fail "x%d: reduced cost %g < 0" v rc.(v);
+      if not (near rc.(v) d.Problem.d_vars.(v)) then
+        fail "x%d: reduced cost %g, reported %g" v rc.(v) d.Problem.d_vars.(v);
+      if abs_float (rc.(v) *. x) > tol *. (1.0 +. abs_float x) then
+        fail "x%d: reduced cost %g on value %g" v rc.(v) x
+    done;
+    if not (near obj !primal_obj) then fail "objective %g, c.x %g" obj !primal_obj;
+    if not (near obj !dual_obj) then fail "objective %g, b.y %g" obj !dual_obj
+  | Problem.Solved _, None -> fail "no duals captured"
+  | _ -> ());
+  List.rev !errs
+
+let check_certified p objective result =
+  match certificate p objective result with
+  | [] -> ()
+  | errs -> Alcotest.failf "not certified: %s" (String.concat "; " errs)
+
+let certified_prop p objective result =
+  match certificate p objective result with
+  | [] -> true
+  | errs -> QCheck.Test.fail_reportf "not certified: %s" (String.concat "; " errs)
+
+(* --- Engine equivalence --- *)
+
+let objective_of (_, _, _, obj) = List.mapi (fun i c -> (i, c)) obj
+
+(* The dense seed oracle (caps as explicit rows), the sparse engine
+   solved one-shot (caps as column bounds), and the problem builder's
+   incremental solve agree on outcome and objective; the incremental
+   optimum is also certified. *)
 let prop_engines_agree =
   QCheck.Test.make ~name:"dense, sparse, and incremental engines agree"
-    ~count:300 (QCheck.make gen_lp) (fun lp ->
-      let solve_with engine =
-        let p = build_problem lp in
-        Problem.set_engine p engine;
-        fst (Problem.solve p)
+    ~count:300 (QCheck.make gen_lp) (fun ((nvars, ubs, rows, _) as lp) ->
+      let objective = objective_of lp in
+      let constrs =
+        List.map
+          (fun (coeffs, rel, rhs) ->
+            let relation =
+              match rel with `Le -> Simplex.Le | `Ge -> Simplex.Ge | `Eq -> Simplex.Eq
+            in
+            { Simplex.row = List.mapi (fun i c -> (i, c)) coeffs; relation; rhs })
+          rows
       in
-      let dense = solve_with Problem.Dense in
-      let sparse = solve_with Problem.Sparse in
-      let incr = fst (Problem.solve_incremental (build_problem lp)) in
-      same_status dense sparse && same_status dense incr)
+      let caps =
+        List.concat
+          (List.mapi
+             (fun i u ->
+               if Float.is_finite u then
+                 [ { Simplex.row = [ (i, 1.0) ]; relation = Simplex.Le; rhs = u } ]
+               else [])
+             ubs)
+      in
+      let dense =
+        status_of_outcome (Dense.solve ~num_vars:nvars ~objective (constrs @ caps))
+      in
+      let sparse =
+        status_of_outcome
+          (Simplex.solve ~ub:(Array.of_list ubs) ~num_vars:nvars ~objective constrs)
+      in
+      let p = build_problem lp in
+      Problem.set_capture_duals p true;
+      let result = Problem.solve_incremental p in
+      same_status dense sparse
+      && same_status dense (fst result)
+      && certified_prop p objective result)
 
 (* Warm reoptimization after growing the program (new row, extra
-   objective term) lands on the same optimum as a cold one-shot solve of
-   the final program. *)
+   objective term) lands on the same optimum as a one-shot solve of the
+   final program on a fresh problem; both optima are certified. *)
 let prop_warm_matches_oneshot =
   let gen =
     QCheck.Gen.(
@@ -681,13 +744,19 @@ let prop_warm_matches_oneshot =
         Problem.add_le p (extra_expr ()) extra_rhs;
         Problem.add_objective p (Linexpr.var ~coeff:0.5 0)
       in
+      let objective = (0, 0.5) :: objective_of lp in
       let p = build_problem lp in
+      Problem.set_capture_duals p true;
       ignore (Problem.solve_incremental p);
       grow p;
-      let warm = fst (Problem.solve_incremental p) in
+      let warm = Problem.solve_incremental p in
       let q = build_problem lp in
+      Problem.set_capture_duals q true;
       grow q;
-      same_status warm (fst (Problem.solve q)))
+      let oneshot = Problem.solve_incremental q in
+      same_status (fst warm) (fst oneshot)
+      && certified_prop p objective warm
+      && certified_prop q objective oneshot)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -697,12 +766,27 @@ let qcheck = List.map QCheck_alcotest.to_alcotest
    x = 1, y = 0.5: both rows binding.  With y basic the shared row's dual
    is -1, and the ub cap's dual is -2 - (-1) = -1 — so the provenance
    margin (its negation) is 1. *)
+let duals_objective x y = Linexpr.(add (var ~coeff:(-2.0) x) (var ~coeff:(-1.0) y))
+
 let duals_problem () =
   let p = Problem.create () in
   let x = Problem.add_var p ~ub:1.0 "x" in
   let y = Problem.add_var p "y" in
   Problem.add_le ~tag:"cap" p Linexpr.(add (var x) (var y)) 1.5;
-  Problem.add_objective p Linexpr.(add (var ~coeff:(-2.0) x) (var ~coeff:(-1.0) y));
+  Problem.add_objective p (duals_objective x y);
+  (p, x, y)
+
+(* The same final program reached warm: first solved under [-2x] alone,
+   then re-solved from that basis under the full objective. *)
+let warm_duals_problem () =
+  let p = Problem.create () in
+  let x = Problem.add_var p ~ub:1.0 "x" in
+  let y = Problem.add_var p "y" in
+  Problem.add_le ~tag:"cap" p Linexpr.(add (var x) (var y)) 1.5;
+  Problem.set_capture_duals p true;
+  Problem.set_objective p (Linexpr.var ~coeff:(-2.0) x);
+  ignore (Problem.solve_incremental p);
+  Problem.set_objective p (duals_objective x y);
   (p, x, y)
 
 let check_ub_dual p x =
@@ -721,31 +805,26 @@ let check_ub_dual p x =
       (Array.length d.Problem.d_vars)
 
 let test_duals_oneshot () =
-  let p, x, _ = duals_problem () in
+  let p, x, y = duals_problem () in
   Problem.set_capture_duals p true;
-  (match Problem.solve p with
+  let result = Problem.solve_incremental p in
+  (match result with
   | Problem.Solved obj, v ->
     check feq "objective" (-2.5) obj;
     check feq "x" 1.0 (v x)
   | _ -> Alcotest.fail "expected solution");
-  check_ub_dual p x
-
-let test_duals_oneshot_no_presolve () =
-  let p, x, _ = duals_problem () in
-  Problem.set_presolve p false;
-  Problem.set_capture_duals p true;
-  (match Problem.solve p with
-  | Problem.Solved _, _ -> ()
-  | _ -> Alcotest.fail "expected solution");
-  check_ub_dual p x
+  check_ub_dual p x;
+  check_certified p (Linexpr.terms (duals_objective x y)) result
 
 let test_duals_incremental () =
-  let p, x, _ = duals_problem () in
-  Problem.set_capture_duals p true;
-  (match Problem.solve_incremental p with
+  let p, x, y = warm_duals_problem () in
+  let result = Problem.solve_incremental p in
+  (match result with
   | Problem.Solved obj, _ -> check feq "objective" (-2.5) obj
   | _ -> Alcotest.fail "expected solution");
-  check_ub_dual p x
+  check Alcotest.bool "re-solved warm" true (Problem.last_info p).Problem.warm;
+  check_ub_dual p x;
+  check_certified p (Linexpr.terms (duals_objective x y)) result
 
 let test_duals_reduced_cost () =
   (* minimize 2x + y  s.t.  x + y >= 1: the optimum takes y = 1 and
@@ -756,14 +835,15 @@ let test_duals_reduced_cost () =
   let y = Problem.add_var p "y" in
   Problem.add_ge p Linexpr.(add (var x) (var y)) 1.0;
   Problem.add_objective p Linexpr.(add (var ~coeff:2.0 x) (var y));
-  Problem.set_presolve p false;
   Problem.set_capture_duals p true;
-  (match Problem.solve p with
+  let result = Problem.solve_incremental p in
+  (match result with
   | Problem.Solved obj, v ->
     check feq "objective" 1.0 obj;
     check feq "x stays 0" 0.0 (v x);
     check feq "y" 1.0 (v y)
   | _ -> Alcotest.fail "expected solution");
+  check_certified p [ (x, 2.0); (y, 1.0) ] result;
   match Problem.last_duals p with
   | None -> Alcotest.fail "expected captured duals"
   | Some d ->
@@ -772,7 +852,7 @@ let test_duals_reduced_cost () =
 
 let test_duals_capture_off () =
   let p, _, _ = duals_problem () in
-  (match Problem.solve p with
+  (match Problem.solve_incremental p with
   | Problem.Solved _, _ -> ()
   | _ -> Alcotest.fail "expected solution");
   check Alcotest.bool "no duals when capture off" true
@@ -784,26 +864,27 @@ let test_duals_none_when_infeasible () =
   Problem.add_ge p (Linexpr.var x) 2.0;
   Problem.add_objective p (Linexpr.var x);
   Problem.set_capture_duals p true;
-  (match Problem.solve p with
+  (match Problem.solve_incremental p with
   | Problem.Infeasible, _ -> ()
   | _ -> Alcotest.fail "expected infeasible");
   check Alcotest.bool "no duals without an optimum" true
     (Problem.last_duals p = None)
 
+(* Duals of a warm re-solve match those of a one-shot solve of the same
+   final program on a fresh problem, and both are certified. *)
 let test_duals_incremental_matches_oneshot () =
-  let duals p solve =
-    Problem.set_capture_duals p true;
-    (match solve p with
-    | Problem.Solved _, _ -> ()
-    | _ -> Alcotest.fail "expected solution");
+  let duals p x y =
+    let result = Problem.solve_incremental p in
+    check_certified p (Linexpr.terms (duals_objective x y)) result;
     match Problem.last_duals p with
     | Some d -> d
     | None -> Alcotest.fail "expected captured duals"
   in
-  let p1, _, _ = duals_problem () in
-  let p2, _, _ = duals_problem () in
-  let a = duals p1 Problem.solve in
-  let b = duals p2 Problem.solve_incremental in
+  let p1, x1, y1 = duals_problem () in
+  Problem.set_capture_duals p1 true;
+  let p2, x2, y2 = warm_duals_problem () in
+  let a = duals p1 x1 y1 in
+  let b = duals p2 x2 y2 in
   Array.iteri
     (fun i v -> check feq (Printf.sprintf "row dual %d" i) v b.Problem.d_rows.(i))
     a.Problem.d_rows;
@@ -841,13 +922,6 @@ let () =
           Alcotest.test_case "equality" `Quick test_problem_eq;
           Alcotest.test_case "constant folding" `Quick test_problem_constant_folding;
         ] );
-      ( "presolve",
-        [
-          Alcotest.test_case "duplicate hinge merge" `Quick
-            test_presolve_duplicate_hinge;
-          Alcotest.test_case "forced variable fix" `Quick test_presolve_forced_fix;
-          Alcotest.test_case "empty rows" `Quick test_presolve_empty_rows;
-        ] );
       ( "lu",
         Alcotest.test_case "ftran/btran round trip" `Quick test_lu_roundtrip_known
         :: Alcotest.test_case "eta update" `Quick test_lu_eta_update
@@ -859,6 +933,8 @@ let () =
             test_refactor_threshold;
           Alcotest.test_case "pivot cap aborts and recovers" `Quick
             test_pivot_cap_aborts_and_recovers;
+          Alcotest.test_case "fault resets last_info" `Quick
+            test_fault_resets_info;
           Alcotest.test_case "dual repair after a cut" `Quick
             test_dual_repair_after_cut;
           Alcotest.test_case "dual repair with bounds" `Quick
@@ -869,8 +945,6 @@ let () =
       ( "duals",
         [
           Alcotest.test_case "one-shot ub margin" `Quick test_duals_oneshot;
-          Alcotest.test_case "one-shot without presolve" `Quick
-            test_duals_oneshot_no_presolve;
           Alcotest.test_case "incremental ub margin" `Quick test_duals_incremental;
           Alcotest.test_case "reduced cost" `Quick test_duals_reduced_cost;
           Alcotest.test_case "capture off" `Quick test_duals_capture_off;

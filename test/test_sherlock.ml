@@ -88,6 +88,37 @@ let test_encoder_race_removal () =
   let verdicts = solve_logs [ racy1 ] in
   check Alcotest.int "nothing inferred from races" 0 (List.length verdicts)
 
+let test_encoder_skips_racy_windows () =
+  (* [protected] opens a (wf, wf) window whose sides are not racy by
+     themselves (a private write releases, a private read acquires);
+     [racy] makes the pair (wf, wf) racy.  A window whose pair has
+     already raced when it is first encoded gets no candidates and no
+     hinge; one encoded before its pair raced keeps them. *)
+  let wx = Opid.write ~cls:"C" "x" and ry = Opid.read ~cls:"C" "y" in
+  let protected =
+    mklog [ ev 10 0 wf; ev ~target:2 20 0 wx; ev ~target:3 40 1 ry; ev 50 1 wf ]
+  in
+  let racy = mklog [ ev 10 0 wf; ev 50 1 wf ] in
+  let obs = obs_of_logs [ racy; protected ] in
+  let _, stats = Encoder.solve Config.default obs in
+  check Alcotest.int "one window ([racy] only records a race)" 1
+    (Observations.window_count obs);
+  check Alcotest.int "no candidates from the skipped window" 0 stats.num_vars;
+  check Alcotest.int "both its sides kept out" 2 stats.lp.lp_presolve_rows;
+  let _, kept =
+    Encoder.solve { Config.default with use_race_removal = false } obs
+  in
+  check Alcotest.bool "encoded without race removal" true (kept.num_vars > 0);
+  let st = Encoder.create_state () in
+  let obs = obs_of_logs [ protected ] in
+  let _, first = Encoder.solve ~state:st Config.default obs in
+  Observations.add_log obs ~near:Config.default.near
+    ~cap:Config.default.window_cap ~refine:true racy;
+  let _, later = Encoder.solve ~state:st Config.default obs in
+  check Alcotest.bool "encoded before the race" true (first.num_vars > 0);
+  check Alcotest.int "kept after the race" first.num_vars later.num_vars;
+  check Alcotest.int "inactive once racy" 0 later.num_windows
+
 let test_encoder_blind_write_forces_begin () =
   (* A journal written blindly by both sides right after the blocking
      call: the resulting write/write window's acquire side contains only
@@ -713,6 +744,8 @@ let () =
             test_encoder_no_protected_infers_nothing;
           Alcotest.test_case "role property" `Quick test_encoder_role_property;
           Alcotest.test_case "race removal" `Quick test_encoder_race_removal;
+          Alcotest.test_case "skips already-racy windows" `Quick
+            test_encoder_skips_racy_windows;
           Alcotest.test_case "blind write forces begin" `Quick
             test_encoder_blind_write_forces_begin;
           Alcotest.test_case "single role" `Quick test_encoder_single_role_blocks_double;
