@@ -9,17 +9,18 @@ let const c = { coeffs = Int_map.empty; const = c }
 let var ?(coeff = 1.0) v =
   if coeff = 0.0 then zero else { coeffs = Int_map.singleton v coeff; const = 0.0 }
 
-let merge_coeff a b =
-  match (a, b) with
-  | Some x, Some y ->
-    let s = x +. y in
-    if s = 0.0 then None else Some s
-  | (Some _ as x), None | None, (Some _ as x) -> x
-  | None, None -> None
-
+(* [union] splits the larger map only along the smaller one's keys, so
+   adding a one-term expression to an [n]-term one costs O(log n) where
+   [merge] would rebuild all [n] bindings.  Coefficients summing to
+   exactly zero are dropped. *)
 let add a b =
   {
-    coeffs = Int_map.merge (fun _ x y -> merge_coeff x y) a.coeffs b.coeffs;
+    coeffs =
+      Int_map.union
+        (fun _ x y ->
+          let s = x +. y in
+          if s = 0.0 then None else Some s)
+        a.coeffs b.coeffs;
     const = a.const +. b.const;
   }
 

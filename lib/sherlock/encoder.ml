@@ -349,6 +349,8 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
    - rounding pins are relaxed to [x >= 0] after each round, so they
      never constrain later rounds. *)
 
+type paired_terms = (Problem.var * float) list
+
 type state = {
   mutable s_obs : Observations.t option;  (* physical identity guard *)
   mutable s_vars : vars;
@@ -360,11 +362,11 @@ type state = {
       (* window id -> (release hinge, acquire hinge); (None, None) for
          windows skipped as already racy *)
   mutable s_nwin : int;  (* windows encoded so far (watermark) *)
-  mutable s_class_abs : (string, string * Problem.var) Hashtbl.t;
-      (* class -> (term signature, abs var); a new method variable
-         changes the signature and allocates a fresh abs var — the old
-         one keeps its rows but drops out of the objective *)
-  mutable s_field_abs : (string, string * Problem.var) Hashtbl.t;
+  mutable s_class_abs : (string, paired_terms * Problem.var) Hashtbl.t;
+      (* class -> (sorted balance terms, abs var); a new method variable
+         changes the terms and allocates a fresh abs var — the old one
+         keeps its rows but drops out of the objective *)
+  mutable s_field_abs : (string, paired_terms * Problem.var) Hashtbl.t;
   mutable s_single : (string, Problem.var option) Hashtbl.t;
       (* method key -> soft-mode hinge ([None] = hard constraint added) *)
 }
@@ -477,12 +479,8 @@ let sync_paired st =
   let { problem; table } = st.s_vars in
   let refresh cache name terms =
     let terms = List.sort compare terms in
-    let sigstr =
-      String.concat ";"
-        (List.map (fun (v, s) -> Printf.sprintf "%d:%g" v s) terms)
-    in
     match Hashtbl.find_opt cache name with
-    | Some (old_sig, _) when String.equal old_sig sigstr -> ()
+    | Some (old, _) when old = terms -> ()
     | _ ->
       let expr =
         List.fold_left
@@ -490,7 +488,7 @@ let sync_paired st =
           Linexpr.zero terms
       in
       let a = Problem.abs_var problem name expr in
-      Hashtbl.replace cache name (sigstr, a)
+      Hashtbl.replace cache name (terms, a)
   in
   (* Per-class method balance. *)
   let by_class : (string, (Problem.var * float) list ref) Hashtbl.t =
@@ -567,7 +565,9 @@ let sync_single st (config : Config.t) =
 (* Rebuild the whole objective from current data.  Weights, occurrence
    averages, and duration percentiles all drift as observations
    accumulate, so the objective is recomputed every round; only the
-   constraint matrix is incremental. *)
+   constraint matrix is incremental.  The occurrence and CV-rank tables
+   are built once per round, so the rebuild is linear in vars + windows
+   + samples (times the log n of each [Linexpr.add]). *)
 let build_objective st (config : Config.t) obs wt =
   let { problem; table } = st.s_vars in
   let lambda = config.lambda in
@@ -575,18 +575,20 @@ let build_objective st (config : Config.t) obs wt =
   let addv ?coeff v = acc := Linexpr.add !acc (Linexpr.var ?coeff v) in
   Hashtbl.iter (fun h w -> if w > 0.0 then addv ~coeff:w h) wt;
   Hashtbl.iter (fun (op, role) v -> addv ~coeff:(tie_cost op role) v) table;
-  if config.use_rare then
+  if config.use_rare then begin
+    let occ = Observations.occurrence obs in
     Hashtbl.iter
       (fun (op, _role) v ->
-        let rare = config.rare_coeff *. Observations.avg_occurrence obs op in
+        let rare = config.rare_coeff *. Observations.avg_occurrence occ op in
         addv ~coeff:(lambda *. (1.0 +. rare)) v)
-      table;
+      table
+  end;
   if config.use_variation then begin
-    let durs = Observations.durations obs in
+    let ranks = Durations.cv_ranks (Observations.durations obs) in
     Hashtbl.iter
       (fun ((op : Opid.t), role) v ->
         if role = Acquire && op.kind = Opid.Begin then begin
-          let pct = Durations.cv_percentile durs (Opid.method_key op) in
+          let pct = Durations.cv_percentile ranks (Opid.method_key op) in
           let coeff = lambda *. (1.0 -. pct) in
           if coeff > 0.0 then addv ~coeff v
         end)
@@ -618,11 +620,19 @@ let solve ?state:(st = create_state ()) ?(previous = []) (config : Config.t)
   let problem = st.s_vars.problem in
   let table = st.s_vars.table in
   Problem.set_capture_duals problem config.provenance;
-  let kept_out = sync_windows st config obs in
-  if config.use_paired then sync_paired st;
-  if config.use_single_role then sync_single st config;
-  let wt, num_windows = hinge_weights st config obs in
-  build_objective st config obs wt;
+  let kept_out =
+    Tspan.with_span ~name:"encode.sync" @@ fun () ->
+    let kept_out = sync_windows st config obs in
+    if config.use_paired then sync_paired st;
+    if config.use_single_role then sync_single st config;
+    kept_out
+  in
+  let num_windows =
+    Tspan.with_span ~name:"encode.objective" @@ fun () ->
+    let wt, num_windows = hinge_weights st config obs in
+    build_objective st config obs wt;
+    num_windows
+  in
   let lp = ref { zero_lp with lp_presolve_rows = kept_out } in
   let pins = ref [] in
   let rec solve_rounded budget =
@@ -638,9 +648,13 @@ let solve ?state:(st = create_state ()) ?(previous = []) (config : Config.t)
         pins := row :: !pins;
         solve_rounded (budget - 1)
   in
-  let status, assignment = solve_rounded 25 in
-  (* Pins are one round's integrality repair, not evidence: relax them to
-     the vacuous [x >= 0] so they never constrain later rounds. *)
-  List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
+  let status, assignment =
+    Tspan.with_span ~name:"lp" @@ fun () ->
+    let r = solve_rounded 25 in
+    (* Pins are one round's integrality repair, not evidence: relax them
+       to the vacuous [x >= 0] so they never constrain later rounds. *)
+    List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
+    r
+  in
   finish config obs problem table ~num_windows ~lp:!lp ~previous ~t_start
     status assignment

@@ -103,4 +103,9 @@ val solve :
 
     If the LP comes back infeasible or unbounded the solve does not
     raise: it returns [previous] (default [\[\]] — typically the prior
-    round's verdicts) and flags the round [degraded] in the stats. *)
+    round's verdicts) and flags the round [degraded] in the stats.
+
+    The call runs in a [solve] telemetry span with three children:
+    [encode.sync] (new windows, balance terms, Single-Role rows),
+    [encode.objective] (hinge weights and the objective rebuild) and
+    [lp] (the simplex and its rounding pins). *)

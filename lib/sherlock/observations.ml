@@ -153,20 +153,31 @@ let runs t = t.nruns
 
 let metrics t = t.metrics
 
-let avg_occurrence t op =
-  let total, count =
-    Hashtbl.fold
-      (fun _ r (total, count) ->
-        let w = !r in
-        let tally side (total, count) =
-          match Opid.Map.find_opt op side with
-          | Some n -> (total + (n * w.weight), count + w.weight)
-          | None -> (total, count)
-        in
-        tally w.rel (tally w.acq (total, count)))
-      t.merged (0, 0)
-  in
-  if count = 0 then 0.0 else float_of_int total /. float_of_int count
+type occurrence = (Opid.t, int ref * int ref) Hashtbl.t
+
+(* One pass over the merged windows: op -> (sum of count * weight, sum of
+   weight) over the sides mentioning it.  Integer sums, so the pass order
+   cannot change the ratio. *)
+let occurrence t =
+  let tbl = Hashtbl.create 256 in
+  for i = 0 to t.nmerged - 1 do
+    let w = !(t.order.(i)) in
+    let tally op n =
+      match Hashtbl.find_opt tbl op with
+      | Some (total, count) ->
+        total := !total + (n * w.weight);
+        count := !count + w.weight
+      | None -> Hashtbl.add tbl op (ref (n * w.weight), ref w.weight)
+    in
+    Opid.Map.iter tally w.rel;
+    Opid.Map.iter tally w.acq
+  done;
+  tbl
+
+let avg_occurrence tbl op =
+  match Hashtbl.find_opt tbl op with
+  | Some (total, count) -> float_of_int !total /. float_of_int !count
+  | None -> 0.0
 
 let candidate_count t =
   let ops = ref Opid.Set.empty in

@@ -83,9 +83,18 @@ val metrics : t -> Metrics.t
 (** Accumulated trace/extraction counters over every log folded in.
     Mutable: callers wanting a snapshot should {!Metrics.copy} it. *)
 
-val avg_occurrence : t -> Opid.t -> float
+type occurrence
+(** Per-op occurrence sums over one snapshot of the merged windows. *)
+
+val occurrence : t -> occurrence
+(** Build the occurrence table in one pass over the merged windows.  It
+    does not follow later additions: rebuild it after folding in more
+    logs. *)
+
+val avg_occurrence : occurrence -> Opid.t -> float
 (** Average number of dynamic instances of the op per window in which it
-    appears (on either side) — the input to the rare term (Equation 4). *)
+    appears (on either side; weighted by window multiplicity), 0 for an
+    op in no window — the input to the rare term (Equation 4). *)
 
 val candidate_count : t -> int
 (** Distinct candidate operations across all windows. *)

@@ -62,6 +62,30 @@ let cv t key = Sherlock_util.Stats.coefficient_of_variation (samples t key)
 
 let methods t = Hashtbl.fold (fun k _ acc -> k :: acc) t.samples []
 
-let cv_percentile t key =
-  let all = List.map (fun k -> cv t k) (methods t) in
-  Sherlock_util.Stats.percentile_rank all (cv t key)
+type cv_ranks = { cvs : (string, float) Hashtbl.t; sorted : float array }
+
+(* Every method's CV once, plus the sorted CVs; a key's rank is then the
+   count of strictly smaller CVs, found by binary search. *)
+let cv_ranks t =
+  let cvs = Hashtbl.create (Hashtbl.length t.samples) in
+  Hashtbl.iter
+    (fun k r ->
+      Hashtbl.add cvs k (Sherlock_util.Stats.coefficient_of_variation !r))
+    t.samples;
+  let sorted = Array.of_seq (Hashtbl.to_seq_values cvs) in
+  Array.sort Float.compare sorted;
+  { cvs; sorted }
+
+let cv_percentile r key =
+  let n = Array.length r.sorted in
+  if n = 0 then 0.0
+  else begin
+    let x = Option.value ~default:0.0 (Hashtbl.find_opt r.cvs key) in
+    (* first index whose CV is not below [x] *)
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if r.sorted.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    float_of_int !lo /. float_of_int n
+  end

@@ -29,9 +29,19 @@ val samples : t -> string -> float list
 val cv : t -> string -> float
 (** Coefficient of variation of the method's durations; 0 if unseen. *)
 
-val cv_percentile : t -> string -> float
+type cv_ranks
+(** The CVs of every method over one snapshot of the samples. *)
+
+val cv_ranks : t -> cv_ranks
+(** Compute each method's CV once and sort them.  The table does not
+    follow later samples: rebuild it after adding more. *)
+
+val cv_percentile : cv_ranks -> string -> float
 (** Percentile rank of this method's CV among all methods seen, in
-    [\[0,1\]] — the paper's [percentile(CV(duration(m)))]. *)
+    [\[0,1\]]: the fraction of methods with a strictly smaller CV, 0 for
+    an unseen method.  This is the paper's [percentile(CV(duration(m)))]
+    in Equation (5): a method whose CV beats most others ranks near 1 and
+    so gets a near-zero acquire penalty.  O(log n). *)
 
 val methods : t -> string list
 (** All method keys with at least one complete sample. *)

@@ -15,13 +15,6 @@ let coefficient_of_variation xs =
   let m = mean xs in
   if m = 0.0 then 0.0 else stddev xs /. m
 
-let percentile_rank xs x =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-    let below = List.length (List.filter (fun y -> y < x) xs) in
-    float_of_int below /. float_of_int (List.length xs)
-
 let median = function
   | [] -> 0.0
   | xs ->

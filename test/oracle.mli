@@ -1,0 +1,25 @@
+(** Per-query reference implementations of the objective inputs.
+
+    The library builds the Rare and Variation inputs as one-pass tables
+    ({!Sherlock_core.Observations.occurrence},
+    {!Sherlock_trace.Durations.cv_ranks}) and adds linear expressions
+    with a map union.  These are the direct definitions those fast paths
+    are checked against, bit for bit. *)
+
+val percentile_rank : float list -> float -> float
+(** [percentile_rank xs x] is the fraction of elements of [xs] that are
+    strictly below [x] (0 when [xs] is empty). *)
+
+val avg_occurrence : Sherlock_core.Observations.t -> Sherlock_trace.Opid.t -> float
+(** A fold over every merged window: the op's dynamic count times the
+    window weight, summed over the sides mentioning it, over the summed
+    weights of those sides. *)
+
+val cv_percentile : Sherlock_trace.Durations.t -> string -> float
+(** The method's CV ranked against every method's CV, each recomputed
+    from all of its samples. *)
+
+val linexpr_add :
+  Sherlock_lp.Linexpr.t -> Sherlock_lp.Linexpr.t -> (int * float) list * float
+(** Terms and constant of the sum, merging the operands' term maps key
+    by key (coefficients summing to exactly zero dropped). *)

@@ -251,6 +251,39 @@ let test_warm_start_saves_pivots () =
     true (warm < cold);
   check Alcotest.bool "bases reused" true (saved > 0)
 
+(* The encoder's phase spans (encode.sync, encode.objective, lp) account
+   for the time of the [solve] spans they sit in: summed over a traced
+   App-1 inference, at least 90% of [solve] is attributed to a child. *)
+let test_solve_phase_spans () =
+  let module Span = Sherlock_telemetry.Span in
+  let c = Span.create_collector () in
+  Span.set_collector (Some c);
+  Fun.protect ~finally:(fun () -> Span.set_collector None) (fun () ->
+      ignore (Orchestrator.infer (Registry.find "App-1" |> App.subject)));
+  let spans = Span.closed_spans c in
+  let dur (s : Span.closed) = s.end_s -. s.start_s in
+  let solves = List.filter (fun (s : Span.closed) -> s.name = "solve") spans in
+  let children =
+    List.filter
+      (fun (s : Span.closed) ->
+        List.exists (fun (p : Span.closed) -> s.parent = Some p.id) solves)
+      spans
+  in
+  check Alcotest.int "one solve per round" Config.default.rounds
+    (List.length solves);
+  check
+    Alcotest.(list string)
+    "phases in order"
+    (List.concat_map
+       (fun _ -> [ "encode.sync"; "encode.objective"; "lp" ])
+       solves)
+    (List.map (fun (s : Span.closed) -> s.name) children);
+  let total f l = List.fold_left (fun acc s -> acc +. f s) 0.0 l in
+  let covered = total dur children /. total dur solves in
+  check Alcotest.bool
+    (Printf.sprintf "phases cover %.1f%% of solve" (100.0 *. covered))
+    true (covered >= 0.9)
+
 let () =
   Alcotest.run "corpus"
     [
@@ -285,5 +318,9 @@ let () =
             test_pinned_synth_digests;
           Alcotest.test_case "warm starts save pivots" `Slow
             test_warm_start_saves_pivots;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "solve phase spans" `Quick test_solve_phase_spans;
         ] );
     ]

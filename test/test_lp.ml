@@ -281,6 +281,48 @@ let prop_linexpr_add_commutes =
       let assign v = float_of_int (v + 1) in
       abs_float (Linexpr.eval assign a -. Linexpr.eval assign b) < 1e-9)
 
+(* [Linexpr.add] against a key-by-key [merge] of the operands' terms, bit
+   for bit.  Coefficients come from a small set closed under negation, and
+   the right operand is often the left one negated in part, so exact
+   cancellation (the zero-dropping path) is common. *)
+let prop_linexpr_add_matches_merge =
+  let coeffs = [| 1.0; -1.0; 0.5; -0.5; 0.1; -0.1; 3.0; -3.0 |] in
+  let gen_terms =
+    QCheck.Gen.(
+      list_size (int_range 0 12)
+        (pair (int_range 0 15)
+           (oneof
+              [ map (fun i -> coeffs.(i)) (int_range 0 7); float_range (-5.) 5. ])))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* ta = gen_terms in
+      let* tb = gen_terms in
+      let* cancel = bool in
+      let* ca = float_range (-5.) 5. in
+      let* cb = float_range (-5.) 5. in
+      let tb = if cancel then List.map (fun (v, k) -> (v, -.k)) ta @ tb else tb in
+      return ((ta, ca), (tb, cb)))
+  in
+  let to_expr (terms, c) =
+    List.fold_left
+      (fun acc (v, k) -> Linexpr.add acc (Linexpr.var ~coeff:k v))
+      (Linexpr.const c) terms
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  QCheck.Test.make ~name:"linexpr add matches the merge reference" ~count:500
+    (QCheck.make gen)
+    (fun (ea, eb) ->
+      let a = to_expr ea and b = to_expr eb in
+      let sum = Linexpr.add a b in
+      let ref_terms, ref_const = Oracle.linexpr_add a b in
+      let terms = Linexpr.terms sum in
+      same (Linexpr.constant sum) ref_const
+      && List.length terms = List.length ref_terms
+      && List.for_all2
+           (fun (v, k) (v', k') -> v = v' && same k k')
+           terms ref_terms)
+
 (* --- LU factorization --- *)
 
 (* Dense reference basis: [cols.(k).(row)] is the column at position k. *)
@@ -957,7 +999,8 @@ let () =
         qcheck
           [
             prop_solution_feasible; prop_zero_optimum; prop_hinge_exact;
-            prop_abs_exact; prop_linexpr_add_commutes; prop_engines_agree;
+            prop_abs_exact; prop_linexpr_add_commutes;
+            prop_linexpr_add_matches_merge; prop_engines_agree;
             prop_warm_matches_oneshot;
           ] );
     ]

@@ -48,7 +48,10 @@ let test_observations_avg_occurrence () =
   let log = mklog [ ev 10 0 wf; ev 20 1 rf; ev 30 1 rf ] in
   let obs = obs_of_logs [ log ] in
   (* Window 1 (ends @20): rf x1; window 2 (ends @30): rf x2. *)
-  check (Alcotest.float 1e-9) "avg" 1.5 (Observations.avg_occurrence obs rf)
+  let occ = Observations.occurrence obs in
+  check (Alcotest.float 1e-9) "avg" 1.5 (Observations.avg_occurrence occ rf);
+  check (Alcotest.float 1e-9) "absent op" 0.0
+    (Observations.avg_occurrence occ (Opid.read ~cls:"C" "g"))
 
 let test_observations_candidate_count () =
   let log = mklog [ ev 10 0 wf; ev 50 1 rf ] in
@@ -692,6 +695,72 @@ let prop_roles_respect_property =
           | _ -> false)
         verdicts)
 
+(* The one-pass occurrence and CV-rank tables against the per-op folds
+   in [Oracle], compared bit for bit: for every op in any window, every
+   method with a sample, and one op and method never seen. *)
+let tables_match_oracle obs =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let occ = Observations.occurrence obs in
+  let ops =
+    List.fold_left
+      (fun acc (w : Observations.merged_window) ->
+        let add op _ acc = Opid.Set.add op acc in
+        Opid.Map.fold add w.rel (Opid.Map.fold add w.acq acc))
+      (Opid.Set.singleton (Opid.read ~cls:"Never" "seen"))
+      (Observations.windows obs)
+  in
+  let durs = Observations.durations obs in
+  let ranks = Durations.cv_ranks durs in
+  Opid.Set.for_all
+    (fun op ->
+      same (Observations.avg_occurrence occ op) (Oracle.avg_occurrence obs op))
+    ops
+  && List.for_all
+       (fun key ->
+         same (Durations.cv_percentile ranks key) (Oracle.cv_percentile durs key))
+       ("Never::seen" :: Durations.methods durs)
+
+let prop_tables_match_oracle_synth =
+  QCheck.Test.make ~name:"occurrence and cv-rank tables match the oracle (synth)"
+    ~count:25
+    QCheck.(
+      triple (int_range 1 1000) (int_range 1 3) (int_range 100 1500))
+    (fun (seed, nlogs, events) ->
+      let logs =
+        List.init nlogs (fun i ->
+            Synth.log ~seed:(seed + i) ~addrs:(4 + (seed mod 12))
+              ~threads:(2 + (seed mod 5)) ~events ())
+      in
+      tables_match_oracle (obs_of_logs logs))
+
+(* Hand-made logs over a few fields and methods: repeated runs merge into
+   weighted windows, and equal durations tie in CV. *)
+let gen_logs =
+  QCheck.Gen.(
+    let gen_event =
+      let* time = int_range 1 2_000 in
+      let* tid = int_range 0 3 in
+      let* kind = int_range 0 3 in
+      let* field = int_range 0 3 in
+      let cls = Printf.sprintf "P.C%d" (field mod 2) in
+      let name = Printf.sprintf "f%d" field in
+      let op =
+        match kind with
+        | 0 -> Opid.read ~cls name
+        | 1 -> Opid.write ~cls name
+        | 2 -> Opid.enter ~cls name
+        | _ -> Opid.exit ~cls name
+      in
+      return (ev ~target:(field + 1) time tid op)
+    in
+    list_size (int_range 1 4) (list_size (int_range 0 60) gen_event))
+
+let prop_tables_match_oracle_generated =
+  QCheck.Test.make
+    ~name:"occurrence and cv-rank tables match the oracle (generated)"
+    ~count:200 (QCheck.make gen_logs)
+    (fun logs -> tables_match_oracle (obs_of_logs (List.map mklog logs)))
+
 (* --- hygiene: fault paths log structurally --- *)
 
 (* The orchestrator's failure handling (retries, drops, degradation,
@@ -804,5 +873,12 @@ let () =
           Alcotest.test_case "no eprintf in lib/sherlock" `Quick
             test_no_eprintf_in_sherlock;
         ] );
-      ("properties", qcheck [ prop_verdicts_respect_threshold; prop_roles_respect_property ]);
+      ( "properties",
+        qcheck
+          [
+            prop_verdicts_respect_threshold;
+            prop_roles_respect_property;
+            prop_tables_match_oracle_synth;
+            prop_tables_match_oracle_generated;
+          ] );
     ]

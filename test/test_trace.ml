@@ -176,8 +176,13 @@ let test_durations_cv_percentile () =
   Durations.record_log d (mk "C" "flat" [ (0, 10); (100, 110); (200, 210) ]);
   Durations.record_log d (mk "C" "vary" [ (0, 10); (300, 500); (1000, 1002) ]);
   check Alcotest.bool "vary has higher cv" true (Durations.cv d "C::vary" > Durations.cv d "C::flat");
-  check Alcotest.bool "vary top percentile" true
-    (Durations.cv_percentile d "C::vary" > Durations.cv_percentile d "C::flat")
+  let r = Durations.cv_ranks d in
+  check (Alcotest.float 0.0) "vary top percentile" 0.5
+    (Durations.cv_percentile r "C::vary");
+  check (Alcotest.float 0.0) "flat bottom percentile" 0.0
+    (Durations.cv_percentile r "C::flat");
+  check (Alcotest.float 0.0) "unseen method" 0.0
+    (Durations.cv_percentile r "C::none")
 
 (* --- Windows --- *)
 
