@@ -1402,6 +1402,85 @@ let extract_par () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Extraction scaling gate: sequential [Windows.extract] on Synth logs of
+   10k, 30k and 100k events at 500 events per address, default [near]
+   (longer than any of these logs).  The output itself grows about
+   quadratically with the log — every window's sides span up to the
+   whole log — so throughput in events/s cannot stay flat for any
+   extractor.  The gated figure is time per emitted side binding (one
+   (op, count) entry of a release or acquire side): an extractor whose
+   work is linear in its output keeps it flat.  Best of 3 per size; the
+   100k figure must stay within 1.5x of the 10k one (the "extract_scaling"
+   section of BENCH_trace.json). *)
+let extract_scaling () =
+  let module Log = Sherlock_trace.Log in
+  let module Windows = Sherlock_trace.Windows in
+  let sizes = [ 10_000; 30_000; 100_000 ] in
+  let rows =
+    List.map
+      (fun events ->
+        let log =
+          Sherlock_trace.Synth.log ~seed:5 ~addrs:(events / 500) ~threads:8
+            ~events ()
+        in
+        let best = ref infinity and bindings = ref 0 in
+        for _ = 1 to 3 do
+          let t0 = Unix.gettimeofday () in
+          let ws, _ = Windows.extract log in
+          best := Float.min !best (Unix.gettimeofday () -. t0);
+          bindings :=
+            List.fold_left
+              (fun acc (w : Windows.t) ->
+                acc + Opid.Map.cardinal w.rel + Opid.Map.cardinal w.acq)
+              0 ws
+        done;
+        let n = Log.length log in
+        (n, !best, !bindings, 1e9 *. !best /. float (max 1 !bindings)))
+      sizes
+  in
+  let t =
+    Table.create ~title:"Extraction scaling: Synth, 500 events per address"
+      ~header:[ "events"; "extract"; "events/s"; "side bindings"; "ns/binding" ]
+  in
+  List.iter
+    (fun (n, s, b, ns) ->
+      Table.add_row t
+        [
+          string_of_int n;
+          Printf.sprintf "%.3f s" s;
+          Printf.sprintf "%.0f" (float n /. s);
+          string_of_int b;
+          Printf.sprintf "%.0f" ns;
+        ])
+    rows;
+  Table.print t;
+  let ns_at target =
+    let _, _, _, ns = List.find (fun (n, _, _, _) -> n = target) rows in
+    ns
+  in
+  let ratio = ns_at 100_000 /. ns_at 10_000 in
+  Printf.printf "ns/binding at 100k vs 10k: %.2fx (<= 1.50x required)\n" ratio;
+  update_bench_sections
+    [
+      ( "extract_scaling",
+        Printf.sprintf {|{"events_per_address": 500, %s, "ratio_100k_10k": %.2f, "threshold": 1.5}|}
+          (String.concat ", "
+             (List.map
+                (fun (n, s, b, ns) ->
+                  Printf.sprintf
+                    {|"e%d": {"events_per_sec": %.0f, "side_bindings": %d, "ns_per_binding": %.1f}|}
+                    n (float n /. s) b ns)
+                rows))
+          ratio );
+    ];
+  if ratio > 1.5 then begin
+    Printf.printf "FAIL: ns per side binding grew %.2fx from 10k to 100k events\n"
+      ratio;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
+
 (* Metrics-plane gate: the full corpus inferred with the live stats
    plane fully on — registry enabled, runtime gauges installed, a ring
    snapshotting on the 100 ms ticker with each snapshot atomically
@@ -1531,6 +1610,7 @@ let artifacts =
     ("format", format_gate);
     ("provenance", provenance_gate);
     ("extract_par", extract_par);
+    ("extract_scaling", extract_scaling);
     ("stats", stats_gate);
     ("robustness", robustness);
     ("robustness-scan", robustness_scan);

@@ -37,7 +37,7 @@ let thread_meta ~pid (t : test_timeline) =
     names
 
 (* Method frames, replayed from the Begin/End events with the same
-   per-thread stack discipline as [Windows.frame_spans]; frames still open
+   per-thread stack discipline as [Windows.frame_stacks]; frames still open
    at the end of the log are closed at its duration. *)
 let frame_events ~pid (t : test_timeline) =
   let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in

@@ -74,13 +74,6 @@ val thread : t -> int -> per_thread
 
 val thread_event_count : t -> int -> int
 
-val fold_thread_in :
-  t -> Event.t array -> tid:int -> lo:int -> hi:int -> init:'a ->
-  f:('a -> Event.t -> 'a) -> 'a
-(** Fold over the events of [tid] with [lo <= time <= hi], in time order
-    (ties in emission order).  [events] must be the array the index was
-    built from. *)
-
 val progress_count : t -> tid:int -> lo:int -> hi:int -> int
 (** Number of non-[Read] events of [tid] with [lo <= time <= hi] — the
     "did the thread make progress" primitive of window refinement.

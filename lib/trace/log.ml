@@ -107,9 +107,6 @@ let thread_active_in t ~tid ~lo ~hi =
   let i = Index.lower_bound pt.times lo in
   i < Array.length pt.times && pt.times.(i) <= hi
 
-let fold_thread_in t ~tid ~lo ~hi ~init ~f =
-  Index.fold_thread_in t.index t.events ~tid ~lo ~hi ~init ~f
-
 let progress_count t ~tid ~lo ~hi = Index.progress_count t.index ~tid ~lo ~hi
 
 let first_delayed_in t ~tid ~lo ~hi =

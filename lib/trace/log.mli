@@ -70,10 +70,6 @@ val thread_active_in : t -> tid:int -> lo:int -> hi:int -> bool
 (** Whether thread [tid] completed any operation in the window —
     the delay-propagation test of paper §3 (Figure 2 b/c). *)
 
-val fold_thread_in :
-  t -> tid:int -> lo:int -> hi:int -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Fold over the events of [tid] with [lo <= time <= hi] in time order. *)
-
 val progress_count : t -> tid:int -> lo:int -> hi:int -> int
 (** Number of non-[Read] events of [tid] with [lo <= time <= hi]; reads
     are excluded because a spin-waiting thread still reads (paper §3). *)

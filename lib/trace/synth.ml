@@ -84,7 +84,7 @@ let log ?(seed = 1) ~addrs ~threads ~events () =
         Log.Builder.add builder
           (Event.make ~time:!time ~tid ~op ~target:(1000 + addr) ~delayed_by ())
   done;
-  (* Frames still open stay open: frame_spans treats them as blocked
+  (* Frames still open stay open: frame_stacks treats them as blocked
      forever, which is exactly the acquire-candidate case to stress. *)
   Log.Builder.finish builder ~duration:(!time + 1) ~threads
     ~volatile_addrs:(Hashtbl.create 1)

@@ -30,70 +30,170 @@ let default_cap = 15
 let add_occurrence side op =
   Opid.Map.update op (function None -> Some 1 | Some n -> Some (n + 1)) side
 
-(* Candidate ops of thread [tid] with lo <= time <= hi, resolved over the
-   per-thread index. *)
-let side_of_span log ~tid ~lo ~hi =
-  Log.fold_thread_in log ~tid ~lo ~hi ~init:Opid.Map.empty
-    ~f:(fun acc (e : Event.t) -> add_occurrence acc e.op)
-
 let all_kinds_are side kind =
   Opid.Map.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
 
-(* Method-frame spans per thread: arrays of (begin_op, t_begin, t_end)
-   sorted by [t_end], with [t_end = max_int] for frames still open at the
-   end of the log (e.g. a thread blocked forever inside an acquire).
-   Sorting by the end time lets [add_open_frames] binary-search away every
-   frame that closed before the window starts. *)
-let frame_spans (log : Log.t) =
-  let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let spans : (int, (Opid.t * int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let slot tbl tid =
-    match Hashtbl.find_opt tbl tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add tbl tid s;
-      s
-  in
-  Log.iter
-    (fun (e : Event.t) ->
-      match e.op.kind with
-      | Opid.Begin -> (slot stacks e.tid) := (e.op, e.time) :: !(slot stacks e.tid)
-      | Opid.End ->
-        let key = Opid.method_key e.op in
-        let s = slot stacks e.tid in
-        let rec pop acc = function
-          | [] -> None
-          | ((op : Opid.t), t0) :: rest when Opid.method_key op = key ->
-            Some ((op, t0), List.rev_append acc rest)
-          | frame :: rest -> pop (frame :: acc) rest
-        in
-        (match pop [] !s with
-        | Some ((op, t0), rest) ->
-          s := rest;
-          (slot spans e.tid) := (op, t0, e.time) :: !(slot spans e.tid)
-        | None -> ())
-      | Opid.Read | Opid.Write -> ())
-    log;
-  Hashtbl.iter
-    (fun tid s ->
-      List.iter
-        (fun (op, t0) -> (slot spans tid) := (op, t0, max_int) :: !(slot spans tid))
-        !s)
-    stacks;
-  let sorted = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun tid s ->
-      let arr = Array.of_list !s in
-      Array.sort (fun (_, _, a) (_, _, b) -> Int.compare a b) arr;
-      let ends = Array.map (fun (_, _, t1) -> t1) arr in
-      Hashtbl.add sorted tid (arr, ends))
-    spans;
-  sorted
+(* Span sides.  The side of thread [tid] over [lo, hi] counts the ops of
+   the thread's events in that span.  A direct fold costs one map update
+   per event, so a window spanning a long private stretch costs the
+   stretch's length — quadratic across the windows of a long log.  The
+   per-thread occurrence summary answers the same query with two binary
+   searches per distinct op of the thread: for each op, the ascending
+   times of its occurrences.
 
-(* Any progress event of [tid] strictly inside (lo, hi)? *)
-let progressed log ~tid ~lo ~hi =
-  hi - 1 >= lo + 1 && Log.progress_count log ~tid ~lo:(lo + 1) ~hi:(hi - 1) > 0
+   The summary is built lazily, per thread, once the events folded for
+   that thread exceed its length (the build's cost), so it never costs
+   more than the folds it replaces.  Threads shorter than
+   [summary_min_events] never get one: their folds are bounded by their
+   length, and a build's hashing and allocation would not pay back —
+   the corpus's test threads stay on the fold.  With a summary, a span
+   longer than the thread's distinct-op count uses it and shorter spans
+   keep the fold.  Both paths count the same events, so the resulting
+   maps have identical bindings.  [sides] mutates on query, so each
+   domain owns its own. *)
+type summary = {
+  ops : Opid.t array;  (* the thread's distinct ops, ascending *)
+  occ : int array array;  (* occ.(k): ascending times of ops.(k) *)
+}
+
+type thread_sides = {
+  mutable folded : int;  (* events folded so far, while unsummarized *)
+  mutable summary : summary option;
+}
+
+type sides = { log : Log.t; threads : (int, thread_sides) Hashtbl.t }
+
+let summary_min_events = 256
+
+let sides log = { log; threads = Hashtbl.create 16 }
+
+let summarize (log : Log.t) (pt : Index.per_thread) =
+  let tbl : (Opid.t, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  for s = Array.length pt.positions - 1 downto 0 do
+    let e = log.events.(pt.positions.(s)) in
+    match Hashtbl.find_opt tbl e.op with
+    | Some r -> r := e.time :: !r
+    | None -> Hashtbl.add tbl e.op (ref [ e.time ])
+  done;
+  let entries =
+    List.sort
+      (fun (a, _) (b, _) -> Opid.compare a b)
+      (Hashtbl.fold (fun op r acc -> (op, Array.of_list !r) :: acc) tbl [])
+  in
+  {
+    ops = Array.of_list (List.map fst entries);
+    occ = Array.of_list (List.map snd entries);
+  }
+
+let side_of_summary s ~lo ~hi =
+  let acc = ref Opid.Map.empty in
+  for k = 0 to Array.length s.ops - 1 do
+    let occ = s.occ.(k) in
+    let c = Index.upper_bound occ hi - Index.lower_bound occ lo in
+    if c > 0 then acc := Opid.Map.add s.ops.(k) c !acc
+  done;
+  !acc
+
+(* Ops of thread [tid] with lo <= time <= hi. *)
+let span_side sides ~tid ~lo ~hi =
+  let log = sides.log in
+  let pt = Index.thread (Log.index log) tid in
+  let n = Array.length pt.positions in
+  let i = Index.lower_bound pt.times lo and j = Index.upper_bound pt.times hi in
+  let summary =
+    if n < summary_min_events then None
+    else begin
+      let ts =
+        match Hashtbl.find_opt sides.threads tid with
+        | Some ts -> ts
+        | None ->
+          let ts = { folded = 0; summary = None } in
+          Hashtbl.add sides.threads tid ts;
+          ts
+      in
+      if Option.is_none ts.summary && j > i then begin
+        ts.folded <- ts.folded + (j - i);
+        if ts.folded > n then ts.summary <- Some (summarize log pt)
+      end;
+      ts.summary
+    end
+  in
+  match summary with
+  | Some s when j - i > Array.length s.ops -> side_of_summary s ~lo ~hi
+  | _ ->
+    let acc = ref Opid.Map.empty in
+    for k = i to j - 1 do
+      acc := add_occurrence !acc log.events.(pt.positions.(k)).op
+    done;
+    !acc
+
+let summary_threshold sides ~tid =
+  match Hashtbl.find_opt sides.threads tid with
+  | Some { summary = Some s; _ } -> Some (Array.length s.ops)
+  | _ -> None
+
+(* Open method frames per thread, as immutable stack snapshots.  Frames
+   nest as a stack (an [End] pops the innermost open frame of its
+   method), so the frames open at time [lo] — begun before [lo], not
+   ended before it — are exactly the stack after the thread's last event
+   before [lo].  Per thread, [at.(q)] is the thread-slot of the q-th
+   [Begin]/[End] that changed the stack and [snap.(q)] the stack after
+   it; a lookup is one binary search plus the stack's depth.  A frame
+   carries [f_after], the first slot of its thread with a later time, so
+   "did the thread progress since the frame began" is one subtraction of
+   progress prefix counts.  Frames still open at the end of the log stay
+   on the last stack.  Immutable once built: shared by every domain. *)
+type frame = { f_op : Opid.t; f_after : int }
+
+type frame_stacks = { at : int array; snap : frame list array }
+
+let frame_stacks (log : Log.t) =
+  let idx = Log.index log in
+  (* Per thread: current stack, snapshots newest first. *)
+  let state : (int, frame list ref * (int * frame list) list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  Array.iteri
+    (fun g (e : Event.t) ->
+      if Opid.is_frame e.op then begin
+        let stack, snaps =
+          match Hashtbl.find_opt state e.tid with
+          | Some s -> s
+          | None ->
+            let s = (ref [], ref []) in
+            Hashtbl.add state e.tid s;
+            s
+        in
+        let pt = Index.thread idx e.tid in
+        let changed =
+          match e.op.kind with
+          | Opid.Begin ->
+            stack := { f_op = e.op; f_after = Index.upper_bound pt.times e.time } :: !stack;
+            true
+          | _ ->
+            let key = Opid.method_key e.op in
+            let rec pop acc = function
+              | [] -> None
+              | f :: rest when Opid.method_key f.f_op = key ->
+                Some (List.rev_append acc rest)
+              | f :: rest -> pop (f :: acc) rest
+            in
+            (match pop [] !stack with
+            | Some rest ->
+              stack := rest;
+              true
+            | None -> false)
+        in
+        if changed then snaps := (Index.lower_bound pt.positions g, !stack) :: !snaps
+      end)
+    log.events;
+  let stacks = Hashtbl.create (Hashtbl.length state) in
+  Hashtbl.iter
+    (fun tid (_, snaps) ->
+      let s = Array.of_list (List.rev !snaps) in
+      Hashtbl.add stacks tid { at = Array.map fst s; snap = Array.map snd s })
+    state;
+  stacks
 
 (* A blocking acquire (Monitor.Enter, Task.Wait, ...) is *invoked* before
    the release it waits for, so its Begin event precedes the window.  The
@@ -101,17 +201,22 @@ let progressed log ~tid ~lo ~hi =
    acquire candidate — but only if the thread has made no progress since
    the invocation (it is plausibly blocked inside it): a frame that kept
    executing cannot be waiting for a release that has not happened yet. *)
-let add_open_frames log spans side ~tid ~lo =
-  match Hashtbl.find_opt spans tid with
+let add_open_frames log stacks side ~tid ~lo =
+  match Hashtbl.find_opt stacks tid with
   | None -> side
-  | Some (arr, ends) ->
-    let acc = ref side in
-    for i = Index.lower_bound ends lo to Array.length arr - 1 do
-      let op, t0, _ = arr.(i) in
-      if t0 < lo && not (progressed log ~tid ~lo:t0 ~hi:lo) then
-        acc := add_occurrence !acc op
-    done;
-    !acc
+  | Some fs ->
+    let pt = Index.thread (Log.index log) tid in
+    (* First slot at or after [lo]; the stack in effect is the one after
+       the last change strictly before that slot. *)
+    let p = Index.lower_bound pt.times lo in
+    let q = Index.lower_bound fs.at p - 1 in
+    if q < 0 then side
+    else
+      List.fold_left
+        (fun acc f ->
+          if pt.progress.(p) = pt.progress.(f.f_after) then add_occurrence acc f.f_op
+          else acc)
+        side fs.snap.(q)
 
 (* First delayed event of [tid] inside [lo, hi], if any: a binary search
    over the delayed-event index — early exit, where the seed folded over
@@ -119,6 +224,8 @@ let add_open_frames log spans side ~tid ~lo =
 let first_delay log ~tid ~lo ~hi = Log.first_delayed_in log ~tid ~lo ~hi
 
 let c_shards = Tm.counter "windows.shards"
+
+let c_scan_steps = Tm.counter "windows.scan.steps"
 
 (* Shard progress, readable mid-extraction by the snapshot ticker: how
    many chunks the current parallel extraction has, and how many have
@@ -131,26 +238,29 @@ let c_cache_hit = Tm.counter "windows.span_cache.hit"
 
 let c_cache_miss = Tm.counter "windows.span_cache.miss"
 
-(* Memoized [side_of_span].  Candidate pairs share span endpoints
+(* Memoized [span_side].  Candidate pairs share span endpoints
    whenever several accesses to one address carry the same timestamp
    (contended bursts under a coarse clock): every pair [(a_i, b)] with
    [a_i.time] equal recomputes the same acquire span [(b.tid, t, b.time)],
    and the refine path recomputes the same [(b.tid, r.time, b.time)] span
    across pairs hitting one delay — so hot logs rebuild the same
-   [(tid, lo, hi)] span many times per extraction.  The function is pure
-   and the resulting maps are immutable, so a cache is observationally
-   invisible.  One cache per domain: sequential extraction keeps a single
-   cache, each shard worker owns its own (no cross-domain sharing, no
-   locks). *)
+   [(tid, lo, hi)] span many times per extraction.  Sides are immutable
+   maps with the same bindings whichever path built them, so a cache is
+   observationally invisible, and windows with equal spans share one
+   map.  One cache per domain, owning that domain's [sides]: sequential
+   extraction keeps a single cache, each shard worker owns its own (no
+   cross-domain sharing, no locks). *)
 type span_cache = {
+  sides : sides;
   tbl : (int * int * int, side) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let cache_create () = { tbl = Hashtbl.create 256; hits = 0; misses = 0 }
+let cache_create log =
+  { sides = sides log; tbl = Hashtbl.create 256; hits = 0; misses = 0 }
 
-let cached_side log cache ~tid ~lo ~hi =
+let cached_side cache ~tid ~lo ~hi =
   let key = (tid, lo, hi) in
   match Hashtbl.find_opt cache.tbl key with
   | Some s ->
@@ -158,7 +268,7 @@ let cached_side log cache ~tid ~lo ~hi =
     s
   | None ->
     cache.misses <- cache.misses + 1;
-    let s = side_of_span log ~tid ~lo ~hi in
+    let s = span_side cache.sides ~tid ~lo ~hi in
     Hashtbl.add cache.tbl key s;
     s
 
@@ -173,12 +283,13 @@ type candidate = { c_key : Opid.t * Opid.t; c_dur : int; c_out : outcome }
 
 (* Analyze one candidate pair: compute both sides, refine from injected
    delays, and classify as window or observed race.  Pure in the log (the
-   span cache only memoizes), so it runs identically on any domain. *)
-let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
+   span cache and the thread summaries only memoize), so it runs
+   identically on any domain. *)
+let consider_one log stacks cache ~refine (a : Event.t) (b : Event.t) =
   let acq_side ~lo ~hi =
-    add_open_frames log spans (cached_side log cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
+    add_open_frames log stacks (cached_side cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
   in
-  let rel = ref (cached_side log cache ~tid:a.tid ~lo:a.time ~hi:b.time) in
+  let rel = ref (cached_side cache ~tid:a.tid ~lo:a.time ~hi:b.time) in
   let acq = ref (acq_side ~lo:a.time ~hi:b.time) in
   if refine then begin
     match first_delay log ~tid:a.tid ~lo:a.time ~hi:b.time with
@@ -232,15 +343,27 @@ let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
   in
   { c_key = (a.op, b.op); c_dur = b.time - a.time; c_out = out }
 
-(* Pair enumeration over one address.  An address sees only a handful of
-   static ops (the field's read/write and property variants), so the
-   per-static-pair cap counters are pulled out of [pair_counts] into a
-   tiny matrix once per address: the O(k^2) candidate scan then tests an
-   int ref instead of hashing, and bails out of the whole address as soon
-   as every conflicting static pair there has reached the cap.
-   Enumeration order and cap decisions are identical to testing each
-   candidate directly.  [emit a b] fires for each accepted candidate;
-   [on_capped] fires when a pair's count reaches the cap. *)
+(* Pair enumeration over one address, in the order of the nested loop
+   "for each access a, for each later access b within [near]": every
+   cross-thread conflicting (a, b) whose static pair is below the cap is
+   emitted, and the scan stops as soon as every conflicting static pair
+   at the address has capped.  [emit a b] fires for each accepted
+   candidate; [on_capped] fires when a pair's count reaches the cap.
+
+   An address sees only a handful of static ops, so the per-static-pair
+   cap counters are pulled out of [pair_counts] into a k x k matrix once.
+   The later accesses are split into one stream per static op: the op's
+   access indices plus, per slot, the next slot with a different tid.
+   For a first access [a], only the live streams — conflicting with a's
+   op and below their cap — are merged in index order; a run of a's own
+   tid is skipped in one step, and a stream leaves the merge when its
+   pair caps or its head is past [near].  So each first access costs a
+   set-up per live stream plus one step per emission, instead of a walk
+   over every later access: a thread spinning on a flag nobody else
+   touches no longer pays for its own run.  A stream's cursor (first slot
+   after [a]) only moves forward, so keeping it costs the stream's
+   length over the whole address.  Set-ups plus emission steps are added
+   to the [windows.scan.steps] counter once per address. *)
 let scan_address ~near ~cap ~pair_counts ~on_capped ~emit
     (accesses : Event.t array) =
   let n = Array.length accesses in
@@ -286,31 +409,89 @@ let scan_address ~near ~cap ~pair_counts ~on_capped ~emit
       if conflicting.(ia).(ib) && !(counts.(ia).(ib)) < cap then incr live
     done
   done;
-  try
-    if !live = 0 then raise Exit;
-    for i = 0 to n - 1 do
-      let a = accesses.(i) in
-      let ia = opidx.(i) in
-      let j = ref (i + 1) in
-      while !j < n && (accesses.(!j) : Event.t).time - a.time <= near do
-        let b = accesses.(!j) in
-        let ib = opidx.(!j) in
-        if a.tid <> b.tid && conflicting.(ia).(ib) then begin
-          let c = counts.(ia).(ib) in
-          if !c < cap then begin
-            incr c;
-            if !c = cap then begin
-              on_capped ();
-              decr live
-            end;
-            emit a b;
-            if !live = 0 then raise Exit
-          end
-        end;
-        incr j
-      done
-    done
-  with Exit -> ()
+  (* Streams: [slots.(o)] the access indices of op [o], ascending;
+     [next_tid.(o).(s)] the first slot after [s] with another tid. *)
+  let lens = Array.make k 0 in
+  Array.iter (fun o -> lens.(o) <- lens.(o) + 1) opidx;
+  let slots = Array.map (fun len -> Array.make len 0) lens in
+  let fill = Array.make k 0 in
+  Array.iteri
+    (fun i o ->
+      slots.(o).(fill.(o)) <- i;
+      fill.(o) <- fill.(o) + 1)
+    opidx;
+  let tid_at o s = (accesses.(slots.(o).(s)) : Event.t).tid in
+  let next_tid =
+    Array.init k (fun o ->
+        let len = lens.(o) in
+        let nx = Array.make len len in
+        for s = len - 2 downto 0 do
+          nx.(s) <- (if tid_at o (s + 1) <> tid_at o s then s + 1 else nx.(s + 1))
+        done;
+        nx)
+  in
+  let cursor = Array.make k 0 in
+  let head = Array.make k 0 in
+  let merged = Array.make k 0 in
+  let steps = ref 0 in
+  (* Stream [o]'s first slot at or after [s] whose tid is not [tid] and
+     whose time is within [near] of [t]; [-1] when the stream is done. *)
+  let settle o s ~tid ~t =
+    let s = if s < lens.(o) && tid_at o s = tid then next_tid.(o).(s) else s in
+    if s < lens.(o) && (accesses.(slots.(o).(s)) : Event.t).time - t <= near then s
+    else -1
+  in
+  (try
+     if !live = 0 then raise Exit;
+     for i = 0 to n - 1 do
+       let a = accesses.(i) in
+       let ia = opidx.(i) in
+       let nmerged = ref 0 in
+       for o = 0 to k - 1 do
+         if conflicting.(ia).(o) && !(counts.(ia).(o)) < cap then begin
+           let s = ref cursor.(o) in
+           while !s < lens.(o) && slots.(o).(!s) <= i do
+             incr s
+           done;
+           cursor.(o) <- !s;
+           incr steps;
+           let h = settle o !s ~tid:a.tid ~t:a.time in
+           if h >= 0 then begin
+             head.(o) <- h;
+             merged.(!nmerged) <- o;
+             incr nmerged
+           end
+         end
+       done;
+       while !nmerged > 0 do
+         let best = ref 0 in
+         for q = 1 to !nmerged - 1 do
+           if slots.(merged.(q)).(head.(merged.(q)))
+              < slots.(merged.(!best)).(head.(merged.(!best)))
+           then best := q
+         done;
+         let o = merged.(!best) in
+         let b = accesses.(slots.(o).(head.(o))) in
+         let c = counts.(ia).(o) in
+         incr c;
+         incr steps;
+         let capped = !c = cap in
+         if capped then begin
+           on_capped ();
+           decr live
+         end;
+         emit a b;
+         if !live = 0 then raise Exit;
+         let h = if capped then -1 else settle o (head.(o) + 1) ~tid:a.tid ~t:a.time in
+         if h >= 0 then head.(o) <- h
+         else begin
+           decr nmerged;
+           merged.(!best) <- merged.(!nmerged)
+         end
+       done
+     done
+   with Exit -> ());
+  Tm.Counter.incr ~by:!steps c_scan_steps
 
 let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     ?metrics ?(jobs = 1) ?pool (log : Log.t) =
@@ -325,7 +506,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
   let h_pairs_per_loc =
     if tm_on then Some (Tm.histogram "windows.pairs_per_location") else None
   in
-  let spans = frame_spans log in
+  let stacks = frame_stacks log in
   let windows = ref [] in
   let races = ref [] in
   let nwindows = ref 0 and nraces = ref 0 in
@@ -359,13 +540,13 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     (* Sequential path: global cap counters applied during the scan,
        candidates dispatched as they are produced. *)
     let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    let cache = cache_create () in
+    let cache = cache_create log in
     Log.iter_addr_accesses log (fun _addr accesses ->
         if Array.length accesses > 1 then begin
           let before = !considered in
           scan_address ~near ~cap ~pair_counts
             ~on_capped:(fun () -> incr capped)
-            ~emit:(fun a b -> dispatch (consider_one log spans cache ~refine a b))
+            ~emit:(fun a b -> dispatch (consider_one log stacks cache ~refine a b))
             accesses;
           observe_pairs_per_loc (!considered - before)
         end);
@@ -391,8 +572,8 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
        must not burn cap budget that canonically-earlier candidates
        (from a chunk another worker owns) are entitled to.
 
-       [frame_spans] is computed once above and shared read-only; each
-       worker owns a private span cache. *)
+       [frame_stacks] is computed once above and shared read-only; each
+       worker owns a private span cache and thread summaries. *)
     let nchunks = min naddrs (jobs * 4) in
     let chunk_lo i = i * naddrs / nchunks in
     (* Per chunk, per scanned address (in chunk order): the emitted
@@ -418,7 +599,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
           let cands = ref [] in
           scan_address ~near ~cap ~pair_counts:local_counts ~on_capped:ignore
             ~emit:(fun a b ->
-              cands := consider_one log spans cache ~refine a b :: !cands)
+              cands := consider_one log stacks cache ~refine a b :: !cands)
             accesses;
           out := List.rev !cands :: !out
         end
@@ -426,7 +607,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
       chunk_out.(ci) <- List.rev !out
     in
     let work () =
-      let cache = cache_create () in
+      let cache = cache_create log in
       let rec loop () =
         let ci = Atomic.fetch_and_add next 1 in
         if ci < nchunks && Option.is_none (Atomic.get failure) then begin

@@ -64,12 +64,21 @@ val extract :
     [metrics], when given, is bumped in place with the events/pairs/
     windows/races counters and the extraction wall-clock.
 
-    All span, progress, and delay queries resolve by binary search over
-    the log's construction-time indices ({!Log.fold_thread_in},
-    {!Log.progress_count}, {!Log.first_delayed_in},
-    {!Log.iter_addr_accesses}), making extraction
-    O(events log events + pairs x window size) instead of the naive
-    O(pairs x events) full rescans.
+    Cost is output-sensitive: O(A k log n + W) for a log of [n] events
+    with [A] accesses, where [k] bounds the distinct static ops at one
+    address and [W] is the output — emitted candidates plus side
+    bindings.  The candidate scan ({!scan_address}) costs a set-up per
+    live stream per access plus a step per emitted candidate; a span
+    side costs O(log n) per distinct op of its thread once the thread
+    has an occurrence summary, which it gets after folding at most its
+    own length ({!span_side}); threads under {!summary_min_events}
+    events always fold, at most that many steps per side; open frames
+    cost a binary search plus the stack depth.  Progress and delay queries are binary
+    searches over the log's construction-time indices
+    ({!Log.progress_count}, {!Log.first_delayed_in}).  Enumeration is
+    no longer quadratic in the accesses of an address, but the output
+    itself can be: with [near] longer than the log, the side bindings
+    grow with the number of windows times their spans' distinct ops.
 
     [jobs] (default 1) shards the per-address candidate scan across that
     many domains: contiguous chunks of the canonical address order are
@@ -84,3 +93,46 @@ val extract :
     particular, do not pass a pool from inside one of its own batch
     thunks).  Without [pool] a private pool is spawned and retired
     around the call. *)
+
+(** {2 Building blocks}
+
+    The two halves of {!extract}'s cost, exposed so tests can check them
+    against direct definitions. *)
+
+val scan_address :
+  near:int -> cap:int -> pair_counts:(Opid.t * Opid.t, int ref) Hashtbl.t ->
+  on_capped:(unit -> unit) -> emit:(Event.t -> Event.t -> unit) ->
+  Event.t array -> unit
+(** [scan_address ~near ~cap ~pair_counts ~on_capped ~emit accesses]
+    enumerates the candidate pairs of one address ([accesses] in time
+    order): exactly the pairs, order, and cap decisions of the nested
+    loop over every access [a] and every later access [b] with
+    [b.time - a.time <= near], [a.tid <> b.tid], one of them a write,
+    and [pair_counts] of [(a.op, b.op)] below [cap] — which it bumps.
+    [on_capped] fires when a count reaches [cap]; the scan stops once
+    every conflicting static pair at the address has.  Work is one
+    set-up per live stream per access plus one step per emission, added
+    to the [windows.scan.steps] telemetry counter. *)
+
+type sides
+(** Per-domain span-side state over one log: per-thread occurrence
+    summaries, built lazily.  Mutated by queries; never share one across
+    domains. *)
+
+val sides : Log.t -> sides
+
+val summary_min_events : int
+(** Threads with fewer events always fold their spans. *)
+
+val span_side : sides -> tid:int -> lo:int -> hi:int -> side
+(** The ops of [tid]'s events with [lo <= time <= hi], with their
+    occurrence counts.  A thread of at least {!summary_min_events}
+    events gets an occurrence summary once the events folded for it
+    exceed its length; from then on, spans longer than its distinct-op
+    count are answered from the summary (two binary searches per op)
+    and shorter ones are still folded.  Either way the bindings are
+    those of the fold. *)
+
+val summary_threshold : sides -> tid:int -> int option
+(** [Some d] once [tid] has a summary: spans of more than [d] events
+    (its distinct-op count) use it. *)

@@ -975,6 +975,244 @@ let test_parallel_extract_synth () =
         (metrics_counters m_seq = metrics_counters m_par))
     [ 2; 4; 8 ]
 
+(* --- Stream scan and summary sides against their direct definitions --- *)
+
+let scan_ops =
+  let cls = "P.C" in
+  [| Opid.read ~cls "f"; Opid.write ~cls "f"; Opid.read ~cls "fProp";
+     Opid.write ~cls "fProp" |]
+
+(* One address's accesses as same-tid runs — a worker's private cell, a
+   spin-read flag — broken by gaps, with same-timestamp ties inside runs.
+   A quarter of the addresses are touched by one thread only.  Each
+   event's [target] is its position, which the scan ignores and the
+   comparison uses to tell events apart. *)
+let gen_address =
+  QCheck.Gen.(
+    let* single = int_range 0 3 in
+    let* runs =
+      list_size (int_range 1 8)
+        (let* tid = int_range 0 3 in
+         let* gap = int_range 0 3_000 in
+         let* steps =
+           list_size (int_range 1 40)
+             (pair (int_range 0 20) (int_range 0 (Array.length scan_ops - 1)))
+         in
+         return (tid, gap, steps))
+    in
+    let time = ref 0 and pos = ref 0 in
+    let events =
+      List.concat_map
+        (fun (tid, gap, steps) ->
+          time := !time + gap;
+          List.map
+            (fun (dt, o) ->
+              time := !time + dt;
+              incr pos;
+              Event.make ~time:!time
+                ~tid:(if single = 0 then 0 else tid)
+                ~op:scan_ops.(o) ~target:!pos ())
+            steps)
+        runs
+    in
+    return (Array.of_list events))
+
+(* Scan a sequence of addresses against one set of cap counters, so caps
+   reached on one address carry over to the next; the trace records
+   every emission and cap decision in order. *)
+let scan_trace scan ~near ~cap addrs =
+  let pair_counts = Hashtbl.create 16 in
+  let trace = ref [] in
+  List.iteri
+    (fun ai accesses ->
+      scan ~near ~cap ~pair_counts
+        ~on_capped:(fun () -> trace := `Capped ai :: !trace)
+        ~emit:(fun (a : Event.t) (b : Event.t) ->
+          trace := `Emit (ai, a.target, b.target) :: !trace)
+        accesses)
+    addrs;
+  let counts =
+    List.sort compare
+      (Hashtbl.fold
+         (fun ((x : Opid.t), (y : Opid.t)) r acc ->
+           if !r > 0 then (Opid.to_string x, Opid.to_string y, !r) :: acc else acc)
+         pair_counts [])
+  in
+  (List.rev !trace, counts)
+
+let prop_stream_scan_matches_nested =
+  QCheck.Test.make ~name:"stream scan matches the nested-loop scan" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) gen_address))
+    (fun addrs ->
+      List.for_all
+        (fun (near, cap) ->
+          scan_trace Windows.scan_address ~near ~cap addrs
+          = scan_trace Oracle.scan_address ~near ~cap addrs)
+        (* a [near] cutting inside runs, one cutting between runs, one past
+           the whole log; caps that end an address early and one that
+           rarely binds *)
+        [ (40, 1); (400, 3); (5_000, 2); (1_000_000, 15) ])
+
+(* Logs of single-thread runs with distinct timestamps, so a span of
+   exactly [l] events is [times.(s), times.(s + l - 1)].  The first run
+   is long enough for its thread to get an occurrence summary; the
+   others are short, so some threads stay below the summary threshold. *)
+let gen_run_log =
+  QCheck.Gen.(
+    let ops =
+      let cls = "P.C" in
+      [| Opid.read ~cls "f"; Opid.write ~cls "f"; Opid.read ~cls "g";
+         Opid.write ~cls "g"; Opid.enter ~cls "m"; Opid.exit ~cls "m" |]
+    in
+    let run lens =
+      let* tid = int_range 0 2 in
+      let* steps =
+        list_size lens (pair (int_range 1 3) (int_range 0 (Array.length ops - 1)))
+      in
+      return (tid, steps)
+    in
+    let* first = run (int_range Windows.summary_min_events (Windows.summary_min_events + 64)) in
+    let* rest = list_size (int_range 0 5) (run (int_range 1 80)) in
+    let runs = first :: rest in
+    let time = ref 0 in
+    return
+      (List.concat_map
+         (fun (tid, steps) ->
+           List.map
+             (fun (dt, o) ->
+               time := !time + dt;
+               let op = ops.(o) in
+               Event.make ~time:!time ~tid ~op ~target:(1 + (o / 2)) ())
+             steps)
+         runs))
+
+let prop_summary_sides_match_fold =
+  QCheck.Test.make ~name:"summary span sides match the fold" ~count:200
+    (QCheck.make QCheck.Gen.(pair gen_run_log (list_size (int_range 0 20) (pair nat nat))))
+    (fun (events, probes) ->
+      let log = mklog events in
+      let sides = Windows.sides log in
+      let same ~tid ~lo ~hi =
+        side_bindings (Windows.span_side sides ~tid ~lo ~hi)
+        = side_bindings (Oracle.span_side log ~tid ~lo ~hi)
+        || QCheck.Test.fail_reportf "tid %d, span [%d, %d]: %s" tid lo hi
+             (match Windows.summary_threshold sides ~tid with
+             | Some d -> Printf.sprintf "summary of %d ops" d
+             | None -> "no summary")
+      in
+      let summarized = ref 0 in
+      List.for_all
+        (fun tid ->
+          let times = (Index.thread (Log.index log) tid).times in
+          let n = Array.length times in
+          let span s l = (times.(s), times.(s + l - 1)) in
+          (* Arbitrary spans before the summary exists, some empty or
+             reversed; then whole-thread spans, the second of which has
+             folded more than the thread's length and so builds it on a
+             long thread. *)
+          let early =
+            List.for_all
+              (fun (x, y) ->
+                let lo = x mod (times.(n - 1) + 2) and hi = y mod (times.(n - 1) + 2) in
+                same ~tid ~lo ~hi)
+              probes
+          in
+          let whole =
+            same ~tid ~lo:times.(0) ~hi:times.(n - 1)
+            && same ~tid ~lo:times.(0) ~hi:times.(n - 1)
+          in
+          match Windows.summary_threshold sides ~tid with
+          | None when n >= Windows.summary_min_events ->
+            QCheck.Test.fail_reportf "tid %d: %d events and no summary" tid n
+          | None -> early && whole
+          | Some d ->
+            (* Spans of d-1 .. d+2 events at every start slot: both sides
+               of the fold/summary threshold. *)
+            let around =
+              List.for_all
+                (fun l ->
+                  l < 1 || l > n
+                  || List.for_all
+                       (fun s ->
+                         if l > d then incr summarized;
+                         let lo, hi = span s l in
+                         same ~tid ~lo ~hi)
+                       (List.init (n - l + 1) Fun.id))
+                [ d - 1; d; d + 1; d + 2 ]
+            in
+            early && whole && around)
+        (List.sort_uniq compare (List.map (fun (e : Event.t) -> e.tid) events))
+      (* The long first run has more events than the 6 ops, so spans
+         above its threshold exist and the summary path ran. *)
+      && !summarized > 0)
+
+(* Long single-thread runs with frames and injected delays, across a few
+   addresses: the full extraction against the naive reference, and the
+   sharded extraction against the sequential one. *)
+let gen_run_log_delayed =
+  QCheck.Gen.(
+    let* events = gen_run_log in
+    let* marks = list_repeat (List.length events) (pair (int_range 0 12) (int_range 1 300)) in
+    return
+      (List.map2
+         (fun (e : Event.t) (m, delay) ->
+           if m = 0 then { e with delayed_by = delay } else e)
+         events marks))
+
+let prop_long_runs_extract_matches =
+  QCheck.Test.make
+    ~name:"extraction over long single-thread runs matches the reference" ~count:60
+    (QCheck.make gen_run_log_delayed)
+    (fun events ->
+      let log = mklog events in
+      let pool = Lazy.force shared_pool in
+      List.for_all
+        (fun (near, cap, refine) ->
+          let m_seq = Sherlock_trace.Metrics.create () in
+          let ws, rs = Windows.extract ~near ~cap ~refine ~metrics:m_seq log in
+          let wn, rn = Naive.extract ~near ~cap ~refine log in
+          List.length ws = List.length wn
+          && List.length rs = List.length rn
+          && List.for_all2 window_eq ws wn
+          && List.for_all2 race_eq rs rn
+          && List.for_all
+               (fun jobs ->
+                 let m_par = Sherlock_trace.Metrics.create () in
+                 let wp, rp =
+                   Windows.extract ~near ~cap ~refine ~metrics:m_par ~jobs ~pool log
+                 in
+                 List.length ws = List.length wp
+                 && List.length rs = List.length rp
+                 && List.for_all2 window_eq ws wp
+                 && List.for_all2 race_eq rs rp
+                 && metrics_counters m_seq = metrics_counters m_par)
+               [ 2; 3; 5; 8 ])
+        [ (1_000_000, 15, true); (60, 2, true); (1_000_000, 15, false) ])
+
+(* The scan's work is bounded by its output, not by pairs of accesses: a
+   thread spinning 50k times on a flag that another thread writes three
+   times.  The (Write, Write) pair never occurs (one writer), so the
+   address never caps out; a nested loop over later accesses would walk
+   about n^2/2 of them. *)
+let test_scan_steps_bound () =
+  let r = Opid.read ~cls:"C" "ready" and w = Opid.write ~cls:"C" "ready" in
+  let n = 50_000 in
+  let events =
+    List.init n (fun i -> ev (10 * i) 0 r)
+    @ List.map (fun t -> ev t 1 w) [ 5; (5 * n) + 5; (10 * n) - 5 ]
+  in
+  let log = mklog events in
+  let steps = Sherlock_telemetry.Metrics.counter "windows.scan.steps" in
+  let before = Sherlock_telemetry.Metrics.Counter.value steps in
+  let m = Sherlock_trace.Metrics.create () in
+  ignore (Windows.extract ~metrics:m log);
+  let used = Sherlock_telemetry.Metrics.Counter.value steps - before in
+  check Alcotest.int "both cross pairs capped" 30 m.pairs_considered;
+  check Alcotest.bool
+    (Printf.sprintf "%d scan steps <= 4 x %d accesses" used (n + 3))
+    true
+    (used <= 4 * (n + 3))
+
 let test_synth_deterministic () =
   let a = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
   let b = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
@@ -1089,10 +1327,14 @@ let () =
             test_parallel_extract_synth;
           Alcotest.test_case "synth deterministic" `Quick
             test_synth_deterministic;
+          Alcotest.test_case "scan steps bounded by output" `Quick
+            test_scan_steps_bound;
         ] );
       ( "properties",
         qcheck
           [ prop_windows_no_crash; prop_window_sides_nonempty; prop_log_sorted;
             prop_trace_io_roundtrip; prop_trace_formats_roundtrip;
-            prop_extract_matches_reference; prop_parallel_extract_identical ] );
+            prop_extract_matches_reference; prop_parallel_extract_identical;
+            prop_stream_scan_matches_nested; prop_summary_sides_match_fold;
+            prop_long_runs_extract_matches ] );
     ]
