@@ -16,7 +16,7 @@ let float_str f =
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
   end
 
-let escape buf s =
+let add_string buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -41,7 +41,7 @@ let to_string v =
       if not (Float.is_finite f) then
         invalid_arg "Json.to_string: non-finite number";
       Buffer.add_string buf (float_str f)
-    | Str s -> escape buf s
+    | Str s -> add_string buf s
     | Arr xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -55,7 +55,7 @@ let to_string v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_string buf k;
           Buffer.add_char buf ':';
           go x)
         fields;

@@ -20,6 +20,11 @@ val to_string : t -> string
 (** Compact (no whitespace) rendering.  Raises [Invalid_argument] on a
     non-finite {!Num}. *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string literal: quote, backslash and
+    control bytes escaped ([\n], [\r], [\t], else [\u00XX]); other
+    bytes, UTF-8 included, are copied as they are. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed).  The error
     string is ["byte N: reason"]. *)

@@ -463,6 +463,7 @@ let test_log_jsonl () =
   Tlog.warn "orch.run.failed"
     [
       ("test", Tlog.Str "quote\"and\nnewline");
+      ("ctl", Tlog.Str "soh\001");
       ("attempt", Tlog.Int 2);
       ("ratio", Tlog.Float 0.5);
       ("bad", Tlog.Float nan);
@@ -473,6 +474,8 @@ let test_log_jsonl () =
     check Alcotest.bool "has event" true (contains line {|"event":"orch.run.failed"|});
     check Alcotest.bool "has level" true (contains line {|"level":"warn"|});
     check Alcotest.bool "escapes quotes" true (contains line {|quote\"and\nnewline|});
+    check Alcotest.bool "escapes control bytes" true
+      (contains line {|"ctl":"soh\u0001"|});
     check Alcotest.bool "int field" true (contains line {|"attempt":2|});
     check Alcotest.bool "nan is null" true (contains line {|"bad":null|});
     check Alcotest.bool "bool field" true (contains line {|"flag":true|});
@@ -573,14 +576,15 @@ let test_json_escaping () =
     Perfetto.to_string
       [
         Perfetto.instant ~name:"quote \" slash \\ newline \n"
-          ~args:[ ("k", Perfetto.Str "tab\t") ]
+          ~args:[ ("k", Perfetto.Str "tab\t"); ("c", Perfetto.Str "soh\001") ]
           ~ts:1 ~pid:1 ~tid:1 ();
       ]
   in
   check Alcotest.bool "quote escaped" true (contains s {|quote \" slash|});
   check Alcotest.bool "backslash escaped" true (contains s {|slash \\ newline|});
   check Alcotest.bool "newline escaped" true (contains s {|newline \n|});
-  check Alcotest.bool "tab escaped" true (contains s {|tab\t|})
+  check Alcotest.bool "tab escaped" true (contains s {|tab\t|});
+  check Alcotest.bool "control byte escaped" true (contains s {|soh\u0001|})
 
 (* --- virtual-time timeline --- *)
 
