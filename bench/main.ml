@@ -888,88 +888,6 @@ let provenance_gate () =
         Gate.within ~limit:(base *. 1.02) off_s );
     ] )
 
-(* Parallel-extraction gate: a 1M-event synthetic stress log (built on
-   the fly by [Sherlock_trace.Synth] — wired behind this bench flag
-   precisely so nothing that size is ever checked in) must extract
-   *identically* under sharded extraction — same windows, same races,
-   same cap/considered counters — and, on a multicore host, at least
-   1.8x faster with >= 2 domains than sequentially (best of 2
-   interleaved runs per job count).  Single-core hosts skip the speedup
-   requirement (recorded as "skipped": true), so the identity half still
-   gates everywhere.  The span-cache hit rate of the sharded run is
-   recorded alongside. *)
-let extract_par () =
-  Gate.run ~section:"extract_par" ~title:"Parallel extraction: 1M-event synthetic log"
-  @@ fun () ->
-  let module Windows = Sherlock_trace.Windows in
-  let module Tm = Sherlock_telemetry.Metrics in
-  let cores = Domain.recommended_domain_count () in
-  let events = 1_000_000 in
-  (* A [near] well under the log's span keeps windows bounded while
-     still covering many cross-thread neighbours per address. *)
-  let near = 20_000 in
-  Printf.printf "generating %d-event synthetic log...\n%!" events;
-  let log = Sherlock_trace.Synth.log ~seed:11 ~addrs:2048 ~threads:16 ~events () in
-  let n = Sherlock_trace.Log.length log in
-  let pool = Sherlock_util.Pool.create () in
-  Fun.protect ~finally:(fun () -> Sherlock_util.Pool.retire pool) @@ fun () ->
-  let c_hit = Tm.counter "windows.span_cache.hit" in
-  let c_miss = Tm.counter "windows.span_cache.miss" in
-  (* Identity: sequential vs 4-way sharded.  The sharded run is forced
-     even on one core — determinism must not depend on the host. *)
-  let m_seq = Sherlock_trace.Metrics.create () in
-  let ws, rs = Windows.extract ~near ~metrics:m_seq log in
-  let hit0 = Tm.Counter.value c_hit and miss0 = Tm.Counter.value c_miss in
-  let m_par = Sherlock_trace.Metrics.create () in
-  let wp, rp = Windows.extract ~near ~metrics:m_par ~jobs:4 ~pool log in
-  let hits = Tm.Counter.value c_hit - hit0 in
-  let misses = Tm.Counter.value c_miss - miss0 in
-  let side_eq a b = Opid.Map.bindings a = Opid.Map.bindings b in
-  let window_eq (a : Windows.t) (b : Windows.t) =
-    a.pair = b.pair && a.field = b.field && side_eq a.rel b.rel && side_eq a.acq b.acq
-    && a.coord = b.coord
-  in
-  let race_eq (a : Windows.race) (b : Windows.race) =
-    a.race_pair = b.race_pair && a.race_field = b.race_field
-  in
-  let counters (m : Sherlock_trace.Metrics.t) =
-    (m.events, m.pairs_considered, m.pairs_capped, m.windows, m.races)
-  in
-  let identical =
-    List.length ws = List.length wp
-    && List.length rs = List.length rp
-    && List.for_all2 window_eq ws wp && List.for_all2 race_eq rs rp
-    && counters m_seq = counters m_par
-  in
-  (* Throughput at 1, 2 and 4 domains, timed on every host so the
-     recorded section is always complete (on a single core the
-     oversubscribed rows document the domain and stop-the-world-GC
-     overhead); only the speedup requirement is core-gated. *)
-  let jobs = [ 1; 2; 4 ] in
-  let best =
-    List.map Gate.best
-      (Gate.interleave ~k:2
-         (List.map
-            (fun j () -> Gate.time (fun () -> Windows.extract ~near ~jobs:j ~pool log))
-            jobs))
-  in
-  let speedup = List.hd best /. Gate.best (List.tl best) in
-  let skipped = cores < 2 in
-  ( [
-      ("events", count n);
-      ("cores", count cores);
-      ("skipped", Json.Bool skipped);
-      ("speedup", num speedup);
-      ("span_cache_hit_rate", num (float hits /. float (max 1 (hits + misses))));
-    ]
-    @ List.map2
-        (fun j s -> (Printf.sprintf "jobs%d_events_per_sec" j, num (float n /. s)))
-        jobs best,
-    [
-      ("sharded extraction identical to sequential", identical);
-      ("speedup >= 1.8x at >= 2 domains (multicore hosts)", skipped || speedup >= 1.8);
-    ] )
-
 (* Extraction scaling gate: sequential [Windows.extract] on Synth logs of
    10k, 30k and 100k events at 500 events per address, default [near]
    (longer than any of these logs).  The output itself grows about
@@ -978,12 +896,15 @@ let extract_par () =
    extractor.  The gated figure is time per emitted side binding (one
    (op, count) entry of a release or acquire side): an extractor whose
    work is linear in its output keeps it flat.  Best of 3 interleaved
-   runs per size; the 100k figure must stay within 1.5x of the 10k one. *)
+   runs per size; the 100k figure must stay within 1.5x of the 10k one.
+   Each size also records its span-cache hit rate (hits of all span-side
+   lookups), the figure that keeps the cache justified. *)
 let extract_scaling () =
   Gate.run ~section:"extract_scaling"
     ~title:"Extraction scaling: Synth, 500 events per address"
   @@ fun () ->
   let module Windows = Sherlock_trace.Windows in
+  let module Tm = Sherlock_telemetry.Metrics in
   let sizes = [ 10_000; 30_000; 100_000 ] in
   let logs =
     List.map
@@ -991,12 +912,19 @@ let extract_scaling () =
         Sherlock_trace.Synth.log ~seed:5 ~addrs:(events / 500) ~threads:8 ~events ())
       sizes
   in
-  let bindings log =
-    List.fold_left
-      (fun acc (w : Windows.t) ->
-        acc + Opid.Map.cardinal w.rel + Opid.Map.cardinal w.acq)
-      0
-      (fst (Windows.extract log))
+  let c_hit = Tm.counter "windows.span_cache.hit" in
+  let c_miss = Tm.counter "windows.span_cache.miss" in
+  (* One untimed extraction: side bindings and span-cache hit rate. *)
+  let profile log =
+    let hit0 = Tm.Counter.value c_hit and miss0 = Tm.Counter.value c_miss in
+    let windows, _ = Windows.extract log in
+    let hits = Tm.Counter.value c_hit - hit0 in
+    let lookups = hits + Tm.Counter.value c_miss - miss0 in
+    ( List.fold_left
+        (fun acc (w : Windows.t) ->
+          acc + Opid.Map.cardinal w.rel + Opid.Map.cardinal w.acq)
+        0 windows,
+      float hits /. float (max 1 lookups) )
   in
   let best =
     List.map Gate.best
@@ -1006,23 +934,24 @@ let extract_scaling () =
   let rows =
     List.map2
       (fun log s ->
-        let n = Sherlock_trace.Log.length log and b = bindings log in
-        (n, s, b, 1e9 *. s /. float (max 1 b)))
+        let n = Sherlock_trace.Log.length log and b, hit_rate = profile log in
+        (n, s, b, 1e9 *. s /. float (max 1 b), hit_rate))
       logs best
   in
   let ns_at target =
-    let _, _, _, ns = List.find (fun (n, _, _, _) -> n = target) rows in
+    let _, _, _, ns, _ = List.find (fun (n, _, _, _, _) -> n = target) rows in
     ns
   in
   let ratio = ns_at 100_000 /. ns_at 10_000 in
   ( List.map
-      (fun (n, s, b, ns) ->
+      (fun (n, s, b, ns, hit_rate) ->
         ( Printf.sprintf "e%d" n,
           Json.Obj
             [
               ("events_per_sec", num (float n /. s));
               ("side_bindings", count b);
               ("ns_per_binding", num ns);
+              ("span_cache_hit_rate", num hit_rate);
             ] ))
       rows
     @ [ ("ratio_100k_10k", num ratio) ],
@@ -1168,7 +1097,6 @@ let artifacts =
     ("lp", lp_gate);
     ("format", format_gate);
     ("provenance", provenance_gate);
-    ("extract_par", extract_par);
     ("extract_scaling", extract_scaling);
     ("stats", stats_gate);
     ("robustness", robustness);

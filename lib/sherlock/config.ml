@@ -36,7 +36,7 @@ let default =
     window_cap = 15;
     delay_us = 100_000;
     rounds = 3;
-    parallelism = Domain.recommended_domain_count ();
+    parallelism = 1;
     extract_jobs = 1;
     threshold = 0.9;
     rare_coeff = 0.1;
@@ -67,7 +67,6 @@ let pp ppf t =
      par=%d max-steps=%d retries=%d"
     t.lambda t.near t.window_cap t.delay_us t.rounds t.threshold t.seed
     t.parallelism t.max_steps t.retries;
-  if t.extract_jobs > 1 then Format.fprintf ppf " extract-jobs=%d" t.extract_jobs;
   if not t.use_warm_start then Format.fprintf ppf " warm-start=off";
   if t.provenance then Format.fprintf ppf " provenance=on";
   if t.metrics_interval_ms > 0 then

@@ -16,13 +16,10 @@ type t = {
           [1] forces the sequential path.  The simulator is deterministic
           per (round, test) seed, so verdicts are identical either way. *)
   extract_jobs : int;
-      (** domains sharding window extraction *within* one run's log
-          (see {!Sherlock_trace.Windows.extract}); [1] (the default)
-          keeps extraction sequential.  Extraction is deterministic for
-          any value, so verdicts are identical either way.  Only applied
-          when the test-level parallel path is not running (the two
-          levels share one domain pool, which is not reentrant); the
-          orchestrator clamps it to the host's core count. *)
+      (** must be 1: window extraction is sequential, and
+          {!Orchestrator.infer} raises [Invalid_argument] for any other
+          value.  Kept only so that older callers setting it to 1 still
+          compile. *)
   threshold : float;    (** probability at which a variable counts as 1; 0.9 *)
   rare_coeff : float;   (** coefficient of the rare term (Equation 4); 0.1 *)
   seed : int;           (** base seed for all simulated schedules *)
@@ -78,7 +75,8 @@ type t = {
 
 val default : t
 (** The paper's defaults: lambda 0.2, near 1 s, cap 15, delay 100 ms,
-    3 rounds, everything enabled, [extract_jobs] 1; [parallelism] is
-    [Domain.recommended_domain_count ()]. *)
+    3 rounds, everything enabled; [parallelism] and [extract_jobs] 1.
+    Test-level parallelism is opt-in: on a 2-core host a corpus app runs
+    faster sequentially than on two domains. *)
 
 val pp : Format.formatter -> t -> unit

@@ -101,12 +101,17 @@ let add_window t (w : Windows.t) =
    NOTE: window caps are per static pair *within one extraction*; the
    cross-run cap state lives in [Windows.extract]'s own counters seeded
    fresh per call, so extraction commutes with other logs and folding the
-   deltas in test order reproduces the sequential path exactly. *)
-let extract_log ?(jobs = 1) ?pool ~near ~cap ~refine log =
+   deltas in test order reproduces the sequential path exactly.
+   [jobs] exists only so that callers passing [~jobs:1] still compile;
+   any other value is rejected. *)
+let extract_log ?(jobs = 1) ~near ~cap ~refine log =
+  if jobs <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Observations.extract_log: jobs = %d; extraction is sequential (jobs must be 1)"
+         jobs);
   let x_metrics = Metrics.create () in
-  let x_windows, x_races =
-    Windows.extract ~near ~cap ~refine ~metrics:x_metrics ~jobs ?pool log
-  in
+  let x_windows, x_races = Windows.extract ~near ~cap ~refine ~metrics:x_metrics log in
   let x_samples = Durations.samples_of_log log in
   { x_windows; x_races; x_samples; x_metrics }
 
@@ -123,8 +128,8 @@ let add_extraction t x =
     x.x_races;
   Metrics.merge ~into:t.metrics x.x_metrics
 
-let add_log t ?jobs ?pool ~near ~cap ~refine log =
-  add_extraction t (extract_log ?jobs ?pool ~near ~cap ~refine log)
+let add_log t ~near ~cap ~refine log =
+  add_extraction t (extract_log ~near ~cap ~refine log)
 
 (* Arrival order: stable across library versions (no dependence on
    hash-bucket layout) and aligned with the incremental ids below. *)

@@ -77,13 +77,15 @@ val injected_faults : run_report list -> int
 val infer : ?config:Config.t -> subject -> result
 (** Run [config.rounds] rounds over all tests.  When
     [config.parallelism > 1] each round's tests execute concurrently on
-    that many domains (each test is a self-contained simulator world);
+    that many domains, capped at [Domain.recommended_domain_count ()]
+    (each test is a self-contained simulator world);
     their observations are merged sequentially in test order, so the
     verdicts are identical to [parallelism = 1].
 
     Per-test failures are supervised as described above; [infer] itself
     only lets resource-exhaustion exceptions ([Out_of_memory],
-    [Stack_overflow]) escape. *)
+    [Stack_overflow]) escape.  It raises [Invalid_argument] up front when
+    [config.extract_jobs] is not 1. *)
 
 val run_test_logs : ?config:Config.t -> subject -> Log.t list
 (** One uninstrumented-delay (round-1 style) traced run per test, with the

@@ -134,21 +134,19 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
     rounds;
   Format.fprintf ppf "%s@." (Sherlock_util.Table.render table)
 
-(* Extraction-cache telemetry for the -v report.  The span-cache and
-   shard counters are recorded unconditionally (cold aggregation, once
-   per extraction), so this reads real numbers on plain runs — no
+(* Extraction-cache telemetry for the -v report.  The span-cache
+   counters are recorded unconditionally (cold aggregation, once per
+   extraction), so this reads real numbers on plain runs — no
    --telemetry-out needed. *)
 let print_extraction_summary ppf () =
   let module Tm = Sherlock_telemetry.Metrics in
   let v name = Tm.Counter.value (Tm.counter name) in
   let hits = v "windows.span_cache.hit" in
   let misses = v "windows.span_cache.miss" in
-  let shards = v "windows.shards" in
   if hits + misses > 0 then
-    Format.fprintf ppf "extraction: span cache %.1f%% hit (%d of %d lookups)%s@."
+    Format.fprintf ppf "extraction: span cache %.1f%% hit (%d of %d lookups)@."
       (100.0 *. float_of_int hits /. float_of_int (hits + misses))
       hits (hits + misses)
-      (if shards > 0 then Printf.sprintf ", %d parallel shards" shards else "")
 
 (* One line per failed attempt, in (round, test) order; silent when the
    whole inference was clean. *)

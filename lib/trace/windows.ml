@@ -49,8 +49,8 @@ let all_kinds_are side kind =
    the corpus's test threads stay on the fold.  With a summary, a span
    longer than the thread's distinct-op count uses it and shorter spans
    keep the fold.  Both paths count the same events, so the resulting
-   maps have identical bindings.  [sides] mutates on query, so each
-   domain owns its own. *)
+   maps have identical bindings.  [sides] mutates on query, so it is
+   never shared across domains. *)
 type summary = {
   ops : Opid.t array;  (* the thread's distinct ops, ascending *)
   occ : int array array;  (* occ.(k): ascending times of ops.(k) *)
@@ -142,7 +142,7 @@ let summary_threshold sides ~tid =
    carries [f_after], the first slot of its thread with a later time, so
    "did the thread progress since the frame began" is one subtraction of
    progress prefix counts.  Frames still open at the end of the log stay
-   on the last stack.  Immutable once built: shared by every domain. *)
+   on the last stack.  Immutable once built. *)
 type frame = { f_op : Opid.t; f_after : int }
 
 type frame_stacks = { at : int array; snap : frame list array }
@@ -223,16 +223,7 @@ let add_open_frames log stacks side ~tid ~lo =
    the whole event array even after a match. *)
 let first_delay log ~tid ~lo ~hi = Log.first_delayed_in log ~tid ~lo ~hi
 
-let c_shards = Tm.counter "windows.shards"
-
 let c_scan_steps = Tm.counter "windows.scan.steps"
-
-(* Shard progress, readable mid-extraction by the snapshot ticker: how
-   many chunks the current parallel extraction has, and how many have
-   completed.  Gauges, not counters — they reset per extraction. *)
-let g_chunks_total = Tm.gauge "windows.chunks.total"
-
-let g_chunks_done = Tm.gauge "windows.chunks.done"
 
 let c_cache_hit = Tm.counter "windows.span_cache.hit"
 
@@ -247,9 +238,7 @@ let c_cache_miss = Tm.counter "windows.span_cache.miss"
    [(tid, lo, hi)] span many times per extraction.  Sides are immutable
    maps with the same bindings whichever path built them, so a cache is
    observationally invisible, and windows with equal spans share one
-   map.  One cache per domain, owning that domain's [sides]: sequential
-   extraction keeps a single cache, each shard worker owns its own (no
-   cross-domain sharing, no locks). *)
+   map.  One cache per extraction, owning that extraction's [sides]. *)
 type span_cache = {
   sides : sides;
   tbl : (int * int * int, side) Hashtbl.t;
@@ -272,19 +261,12 @@ let cached_side cache ~tid ~lo ~hi =
     Hashtbl.add cache.tbl key s;
     s
 
-(* One accepted conflicting-access candidate, fully analyzed.  In
-   sequential mode candidates are dispatched as they are produced; in
-   parallel mode shards produce them speculatively and the deterministic
-   merge decides which survive the global caps ([c_key] is the static
-   pair the cap counters are keyed on). *)
+(* One accepted conflicting-access candidate, fully analyzed. *)
 type outcome = Window of t | Race_out of race
-
-type candidate = { c_key : Opid.t * Opid.t; c_dur : int; c_out : outcome }
 
 (* Analyze one candidate pair: compute both sides, refine from injected
    delays, and classify as window or observed race.  Pure in the log (the
-   span cache and the thread summaries only memoize), so it runs
-   identically on any domain. *)
+   span cache and the thread summaries only memoize). *)
 let consider_one log stacks cache ~refine (a : Event.t) (b : Event.t) =
   let acq_side ~lo ~hi =
     add_open_frames log stacks (cached_side cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
@@ -322,26 +304,23 @@ let consider_one log stacks cache ~refine (a : Event.t) (b : Event.t) =
   let field = Opid.field_key a.op in
   let rel_impossible = Opid.Map.is_empty rel || all_kinds_are rel Opid.Read in
   let acq_impossible = Opid.Map.is_empty acq || all_kinds_are acq Opid.Write in
-  let out =
-    if rel_impossible || acq_impossible then
-      Race_out { race_pair = (a.op, b.op); race_field = field }
-    else
-      Window
-        {
-          pair = (a.op, b.op);
-          field;
-          rel;
-          acq;
-          coord =
-            {
-              first_time = a.time;
-              first_tid = a.tid;
-              second_time = b.time;
-              second_tid = b.tid;
-            };
-        }
-  in
-  { c_key = (a.op, b.op); c_dur = b.time - a.time; c_out = out }
+  if rel_impossible || acq_impossible then
+    Race_out { race_pair = (a.op, b.op); race_field = field }
+  else
+    Window
+      {
+        pair = (a.op, b.op);
+        field;
+        rel;
+        acq;
+        coord =
+          {
+            first_time = a.time;
+            first_tid = a.tid;
+            second_time = b.time;
+            second_tid = b.tid;
+          };
+      }
 
 (* Pair enumeration over one address, in the order of the nested loop
    "for each access a, for each later access b within [near]": every
@@ -494,13 +473,11 @@ let scan_address ~near ~cap ~pair_counts ~on_capped ~emit
   Tm.Counter.incr ~by:!steps c_scan_steps
 
 let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
-    ?metrics ?(jobs = 1) ?pool (log : Log.t) =
+    ?metrics (log : Log.t) =
  Tspan.with_span ~name:"windows.extract" @@ fun () ->
   let t_start = Unix.gettimeofday () in
   (* Telemetry histograms are resolved once per extraction and only when
-     telemetry is on, so the per-pair hot path pays a single branch.
-     They are observed exclusively on the calling domain (sequentially or
-     during the merge), never inside shards. *)
+     telemetry is on, so the per-pair hot path pays a single branch. *)
   let tm_on = Tm.enabled () in
   let h_window_dur = if tm_on then Some (Tm.histogram "windows.duration_us") else None in
   let h_pairs_per_loc =
@@ -511,14 +488,13 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
   let races = ref [] in
   let nwindows = ref 0 and nraces = ref 0 in
   let considered = ref 0 and capped = ref 0 in
-  (* Accept one candidate: bump the counters, record the window or race,
-     observe the duration histogram.  Both the sequential path and the
-     parallel merge funnel through here, on the calling domain, in
-     canonical candidate order — which is what makes the two paths
-     bitwise identical. *)
-  let dispatch c =
+  (* Global cap counters, applied during the scan; each accepted
+     candidate is analyzed and recorded as it is produced. *)
+  let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let cache = cache_create log in
+  let emit (a : Event.t) (b : Event.t) =
     incr considered;
-    (match c.c_out with
+    (match consider_one log stacks cache ~refine a b with
     | Race_out r ->
       incr nraces;
       races := r :: !races
@@ -526,145 +502,20 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
       incr nwindows;
       windows := w :: !windows);
     match h_window_dur with
-    | Some h -> Tm.Histogram.observe_int h c.c_dur
+    | Some h -> Tm.Histogram.observe_int h (b.time - a.time)
     | None -> ()
   in
-  let observe_pairs_per_loc accepted =
-    match h_pairs_per_loc with
-    | Some h -> Tm.Histogram.observe_int h accepted
-    | None -> ()
-  in
-  let addrs = Log.addrs_in_order log in
-  let naddrs = Array.length addrs in
-  if jobs <= 1 || naddrs < 2 then begin
-    (* Sequential path: global cap counters applied during the scan,
-       candidates dispatched as they are produced. *)
-    let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    let cache = cache_create log in
-    Log.iter_addr_accesses log (fun _addr accesses ->
-        if Array.length accesses > 1 then begin
-          let before = !considered in
-          scan_address ~near ~cap ~pair_counts
-            ~on_capped:(fun () -> incr capped)
-            ~emit:(fun a b -> dispatch (consider_one log stacks cache ~refine a b))
-            accesses;
-          observe_pairs_per_loc (!considered - before)
-        end);
-    Tm.Counter.incr ~by:cache.hits c_cache_hit;
-    Tm.Counter.incr ~by:cache.misses c_cache_miss
-  end
-  else begin
-    (* Parallel path: shard the canonical address order into contiguous
-       chunks, analyze chunks on worker domains, and merge sequentially.
-
-       The per-static-pair caps are global across addresses, so shards
-       cannot apply them.  Instead each chunk scans with *fresh local*
-       cap counters — emitting at most [cap] candidates per static pair
-       per chunk, each fully analyzed — and the merge replays chunk
-       outputs in chunk-index order against the real global counters.
-       A chunk's emissions for a pair are a prefix of that pair's
-       canonical candidate stream within the chunk, and the globally
-       accepted candidates for a pair are its first [cap] in canonical
-       order, which lie inside the per-chunk prefixes; so replaying the
-       prefixes in order accepts exactly the sequential candidate set,
-       in the sequential order.  Local counters are per *chunk*, not per
-       worker: a worker that processes a canonically-late chunk first
-       must not burn cap budget that canonically-earlier candidates
-       (from a chunk another worker owns) are entitled to.
-
-       [frame_stacks] is computed once above and shared read-only; each
-       worker owns a private span cache and thread summaries. *)
-    let nchunks = min naddrs (jobs * 4) in
-    let chunk_lo i = i * naddrs / nchunks in
-    (* Per chunk, per scanned address (in chunk order): the emitted
-       candidates in scan order.  Every address with >1 accesses appears,
-       even with no emissions, so the merge can observe the
-       pairs-per-location histogram exactly as the sequential path does.
-       Each slot is written by exactly one worker before the pool batch
-       completes; [Pool.run]'s join publishes the writes to the caller. *)
-    let chunk_out : candidate list list array = Array.make nchunks [] in
-    Tm.Gauge.set g_chunks_total nchunks;
-    Tm.Gauge.set g_chunks_done 0;
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let total_hits = Atomic.make 0 and total_misses = Atomic.make 0 in
-    let process_chunk cache ci =
-      let local_counts : (Opid.t * Opid.t, int ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let out = ref [] in
-      for ai = chunk_lo ci to chunk_lo (ci + 1) - 1 do
-        let accesses = Log.accesses_of_addr log addrs.(ai) in
-        if Array.length accesses > 1 then begin
-          let cands = ref [] in
-          scan_address ~near ~cap ~pair_counts:local_counts ~on_capped:ignore
-            ~emit:(fun a b ->
-              cands := consider_one log stacks cache ~refine a b :: !cands)
-            accesses;
-          out := List.rev !cands :: !out
-        end
-      done;
-      chunk_out.(ci) <- List.rev !out
-    in
-    let work () =
-      let cache = cache_create log in
-      let rec loop () =
-        let ci = Atomic.fetch_and_add next 1 in
-        if ci < nchunks && Option.is_none (Atomic.get failure) then begin
-          (match process_chunk cache ci with
-          | () -> Tm.Gauge.add g_chunks_done 1
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-          loop ()
-        end
-      in
-      loop ();
-      ignore (Atomic.fetch_and_add total_hits cache.hits);
-      ignore (Atomic.fetch_and_add total_misses cache.misses)
-    in
-    let workers = min jobs nchunks - 1 in
-    (match pool with
-    | Some p -> Sherlock_util.Pool.run p ~workers work
-    | None ->
-      let p = Sherlock_util.Pool.create () in
-      Fun.protect
-        ~finally:(fun () -> Sherlock_util.Pool.retire p)
-        (fun () -> Sherlock_util.Pool.run p ~workers work));
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    (* Deterministic merge: replay every chunk's candidates in canonical
-       order against the real global cap counters. *)
-    let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun addr_results ->
-        List.iter
-          (fun cands ->
-            let before = !considered in
-            List.iter
-              (fun c ->
-                let r =
-                  match Hashtbl.find_opt pair_counts c.c_key with
-                  | Some r -> r
-                  | None ->
-                    let r = ref 0 in
-                    Hashtbl.add pair_counts c.c_key r;
-                    r
-                in
-                if !r < cap then begin
-                  incr r;
-                  if !r = cap then incr capped;
-                  dispatch c
-                end)
-              cands;
-            observe_pairs_per_loc (!considered - before))
-          addr_results)
-      chunk_out;
-    Tm.Counter.incr ~by:nchunks c_shards;
-    Tm.Counter.incr ~by:(Atomic.get total_hits) c_cache_hit;
-    Tm.Counter.incr ~by:(Atomic.get total_misses) c_cache_miss
-  end;
+  Log.iter_addr_accesses log (fun _addr accesses ->
+      if Array.length accesses > 1 then begin
+        let before = !considered in
+        scan_address ~near ~cap ~pair_counts ~on_capped:(fun () -> incr capped) ~emit
+          accesses;
+        match h_pairs_per_loc with
+        | Some h -> Tm.Histogram.observe_int h (!considered - before)
+        | None -> ()
+      end);
+  Tm.Counter.incr ~by:cache.hits c_cache_hit;
+  Tm.Counter.incr ~by:cache.misses c_cache_miss;
   (match metrics with
   | None -> ()
   | Some (m : Metrics.t) ->

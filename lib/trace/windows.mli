@@ -56,8 +56,7 @@ val default_cap : int
 (** 15 windows per static location pair, the paper's bound. *)
 
 val extract :
-  ?near:int -> ?cap:int -> ?refine:bool -> ?metrics:Metrics.t ->
-  ?jobs:int -> ?pool:Sherlock_util.Pool.t -> Log.t ->
+  ?near:int -> ?cap:int -> ?refine:bool -> ?metrics:Metrics.t -> Log.t ->
   t list * race list
 (** [extract log] returns the windows and the observed races of one run.
     [refine] (default true) applies delay-based window refinement.
@@ -78,21 +77,7 @@ val extract :
     ({!Log.progress_count}, {!Log.first_delayed_in}).  Enumeration is
     no longer quadratic in the accesses of an address, but the output
     itself can be: with [near] longer than the log, the side bindings
-    grow with the number of windows times their spans' distinct ops.
-
-    [jobs] (default 1) shards the per-address candidate scan across that
-    many domains: contiguous chunks of the canonical address order are
-    analyzed in parallel with chunk-local cap counters, and a
-    deterministic merge replays the chunk outputs in canonical order
-    against the real global per-pair caps — windows, races, cap
-    decisions, and all {!Metrics.t} counters are identical to [jobs = 1]
-    (only the wall-clock field differs).  [jobs] is taken literally (not
-    clamped to cores): callers decide how many domains the host can
-    absorb.  [pool], when given, supplies the worker domains; it must
-    not be running another batch (see {!Sherlock_util.Pool} — in
-    particular, do not pass a pool from inside one of its own batch
-    thunks).  Without [pool] a private pool is spawned and retired
-    around the call. *)
+    grow with the number of windows times their spans' distinct ops. *)
 
 (** {2 Building blocks}
 
@@ -115,9 +100,8 @@ val scan_address :
     to the [windows.scan.steps] telemetry counter. *)
 
 type sides
-(** Per-domain span-side state over one log: per-thread occurrence
-    summaries, built lazily.  Mutated by queries; never share one across
-    domains. *)
+(** Span-side state over one log: per-thread occurrence summaries,
+    built lazily.  Mutated by queries; never share one across domains. *)
 
 val sides : Log.t -> sides
 

@@ -18,9 +18,10 @@
    indices from an atomic counter) and the submitting domain participates
    too, so a pool of k-1 workers serves k domains.  Batches never
    overlap: [run] returns only after all workers that picked up the batch
-   have finished.  Batch thunks must not raise — [parallel_map] parks
-   exceptions in its own failure slot — and must not themselves call
-   [run] on the same pool (a nested batch would deadlock waiting for
+   have finished.  [run] is internal; [parallel_map], the one entry
+   point, upholds its two rules: a batch thunk must not raise (it parks
+   exceptions in its own failure slot), and must not itself start a
+   batch on the same pool (a nested batch would deadlock waiting for
    workers parked inside the outer one). *)
 
 (* Process-wide occupancy, summed over every live pool: how many worker

@@ -858,29 +858,35 @@ let gen_ops_delayed =
        let delayed_by = if delayed = 0 then delay else 0 in
        return (Event.make ~time ~tid ~op ~target:(field + 1) ~delayed_by ())))
 
+(* [Windows.extract] against the naive reference on one log: identical
+   window and race lists, and metrics counters that agree with them. *)
+let matches_naive log (near, cap, refine) =
+  let m = Sherlock_trace.Metrics.create () in
+  let w1, r1 = Windows.extract ~near ~cap ~refine ~metrics:m log in
+  let w2, r2 = Naive.extract ~near ~cap ~refine log in
+  List.length w1 = List.length w2
+  && List.length r1 = List.length r2
+  && List.for_all2 window_eq w1 w2
+  && List.for_all2 race_eq r1 r2
+  && m.events = Log.length log
+  && m.windows = List.length w1
+  && m.races = List.length r1
+  && m.pairs_considered = m.windows + m.races
+
 let prop_extract_matches_reference =
   QCheck.Test.make ~name:"indexed extraction matches the naive reference"
     ~count:300
     (QCheck.make gen_ops_delayed)
     (fun events ->
-      let log = mklog events in
-      List.for_all
-        (fun (near, cap, refine) ->
-          let w1, r1 = Windows.extract ~near ~cap ~refine log in
-          let w2, r2 = Naive.extract ~near ~cap ~refine log in
-          List.length w1 = List.length w2
-          && List.length r1 = List.length r2
-          && List.for_all2 window_eq w1 w2
-          && List.for_all2 race_eq r1 r2)
-        (* near exercising both in- and out-of-horizon pairs; a tight cap
-           exercising the bail-out; refinement on and off. *)
+      (* near exercising both in- and out-of-horizon pairs; a tight cap
+         exercising the bail-out; refinement on and off. *)
+      List.for_all (matches_naive (mklog events))
         [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
 
 (* Like [gen_ops_delayed] but wide: more threads and many more addresses,
-   so the parallel extractor actually gets multiple address chunks to
-   shard — and each static op aliases three addresses (array-element
-   style), so the global per-pair caps span chunk boundaries and the
-   merge's cap replay is genuinely exercised. *)
+   and each static op aliases three addresses (array-element style), so
+   one static pair's cap is shared by several addresses — the global
+   per-pair cap must carry over from one address's scan to the next. *)
 let gen_ops_wide =
   QCheck.Gen.(
     list_size (int_range 0 150)
@@ -903,77 +909,14 @@ let gen_ops_wide =
        let delayed_by = if delayed = 0 then delay else 0 in
        return (Event.make ~time ~tid ~op ~target:(addr + 1) ~delayed_by ())))
 
-(* One worker pool shared by every invocation of the parallel-identity
-   property (retired when the test binary exits): spawning and joining up
-   to 7 domains per generated case would dominate the suite's runtime. *)
-let shared_pool =
-  lazy
-    (let p = Sherlock_util.Pool.create () in
-     at_exit (fun () -> Sherlock_util.Pool.retire p);
-     p)
-
-let metrics_counters (m : Sherlock_trace.Metrics.t) =
-  (m.events, m.pairs_considered, m.pairs_capped, m.windows, m.races)
-
-let prop_parallel_extract_identical =
+let prop_wide_extract_matches_reference =
   QCheck.Test.make
-    ~name:"parallel extraction matches sequential for any job count" ~count:120
+    ~name:"extraction with caps shared across addresses matches the reference"
+    ~count:120
     (QCheck.make gen_ops_wide)
     (fun events ->
-      let log = mklog events in
-      let pool = Lazy.force shared_pool in
-      List.for_all
-        (fun (near, cap, refine) ->
-          let m_seq = Sherlock_trace.Metrics.create () in
-          let ws, rs = Windows.extract ~near ~cap ~refine ~metrics:m_seq log in
-          List.for_all
-            (fun jobs ->
-              let m_par = Sherlock_trace.Metrics.create () in
-              let wp, rp =
-                Windows.extract ~near ~cap ~refine ~metrics:m_par ~jobs ~pool
-                  log
-              in
-              List.length ws = List.length wp
-              && List.length rs = List.length rp
-              && List.for_all2 window_eq ws wp
-              && List.for_all2 race_eq rs rp
-              && metrics_counters m_seq = metrics_counters m_par)
-            [ 1; 2; 3; 4; 8 ])
+      List.for_all (matches_naive (mklog events))
         [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
-
-(* The same identity on a generated stress log big enough that every
-   chunking/cap/cache interaction actually occurs. *)
-let test_parallel_extract_synth () =
-  let log = Sherlock_trace.Synth.log ~seed:7 ~addrs:96 ~threads:8 ~events:20_000 () in
-  (* [near] well under the log's span, so windows stay bounded and the
-     near-horizon filter is part of what must match. *)
-  let near = 10_000 in
-  let m_seq = Sherlock_trace.Metrics.create () in
-  let ws, rs = Windows.extract ~near ~metrics:m_seq log in
-  let pool = Lazy.force shared_pool in
-  List.iter
-    (fun jobs ->
-      let m_par = Sherlock_trace.Metrics.create () in
-      let wp, rp = Windows.extract ~near ~metrics:m_par ~jobs ~pool log in
-      Alcotest.(check int)
-        (Printf.sprintf "windows at jobs=%d" jobs)
-        (List.length ws) (List.length wp);
-      Alcotest.(check int)
-        (Printf.sprintf "races at jobs=%d" jobs)
-        (List.length rs) (List.length rp);
-      Alcotest.(check bool)
-        (Printf.sprintf "window lists identical at jobs=%d" jobs)
-        true
-        (List.for_all2 window_eq ws wp);
-      Alcotest.(check bool)
-        (Printf.sprintf "race lists identical at jobs=%d" jobs)
-        true
-        (List.for_all2 race_eq rs rp);
-      Alcotest.(check bool)
-        (Printf.sprintf "metrics identical at jobs=%d" jobs)
-        true
-        (metrics_counters m_seq = metrics_counters m_par))
-    [ 2; 4; 8 ]
 
 (* --- Stream scan and summary sides against their direct definitions --- *)
 
@@ -1147,8 +1090,7 @@ let prop_summary_sides_match_fold =
       && !summarized > 0)
 
 (* Long single-thread runs with frames and injected delays, across a few
-   addresses: the full extraction against the naive reference, and the
-   sharded extraction against the sequential one. *)
+   addresses: the full extraction against the naive reference. *)
 let gen_run_log_delayed =
   QCheck.Gen.(
     let* events = gen_run_log in
@@ -1164,29 +1106,7 @@ let prop_long_runs_extract_matches =
     ~name:"extraction over long single-thread runs matches the reference" ~count:60
     (QCheck.make gen_run_log_delayed)
     (fun events ->
-      let log = mklog events in
-      let pool = Lazy.force shared_pool in
-      List.for_all
-        (fun (near, cap, refine) ->
-          let m_seq = Sherlock_trace.Metrics.create () in
-          let ws, rs = Windows.extract ~near ~cap ~refine ~metrics:m_seq log in
-          let wn, rn = Naive.extract ~near ~cap ~refine log in
-          List.length ws = List.length wn
-          && List.length rs = List.length rn
-          && List.for_all2 window_eq ws wn
-          && List.for_all2 race_eq rs rn
-          && List.for_all
-               (fun jobs ->
-                 let m_par = Sherlock_trace.Metrics.create () in
-                 let wp, rp =
-                   Windows.extract ~near ~cap ~refine ~metrics:m_par ~jobs ~pool log
-                 in
-                 List.length ws = List.length wp
-                 && List.length rs = List.length rp
-                 && List.for_all2 window_eq ws wp
-                 && List.for_all2 race_eq rs rp
-                 && metrics_counters m_seq = metrics_counters m_par)
-               [ 2; 3; 5; 8 ])
+      List.for_all (matches_naive (mklog events))
         [ (1_000_000, 15, true); (60, 2, true); (1_000_000, 15, false) ])
 
 (* The scan's work is bounded by its output, not by pairs of accesses: a
@@ -1323,8 +1243,6 @@ let () =
         ] );
       ( "parallel_extract",
         [
-          Alcotest.test_case "synth log identity" `Quick
-            test_parallel_extract_synth;
           Alcotest.test_case "synth deterministic" `Quick
             test_synth_deterministic;
           Alcotest.test_case "scan steps bounded by output" `Quick
@@ -1334,7 +1252,7 @@ let () =
         qcheck
           [ prop_windows_no_crash; prop_window_sides_nonempty; prop_log_sorted;
             prop_trace_io_roundtrip; prop_trace_formats_roundtrip;
-            prop_extract_matches_reference; prop_parallel_extract_identical;
+            prop_extract_matches_reference; prop_wide_extract_matches_reference;
             prop_stream_scan_matches_nested; prop_summary_sides_match_fold;
             prop_long_runs_extract_matches ] );
     ]

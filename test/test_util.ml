@@ -226,9 +226,12 @@ let test_pool_occupancy_gauges () =
   let p = Pool.create () in
   let seen_live = Atomic.make 0 and seen_busy = Atomic.make 0 in
   let bump a v = if v > Atomic.get a then Atomic.set a v in
-  Pool.run p ~workers:1 (fun () ->
-      bump seen_live (Pool.live_domains ());
-      bump seen_busy (Pool.busy_domains ()));
+  ignore
+    (Pool.parallel_map ~pool:p ~domains:2
+       (fun _ () ->
+         bump seen_live (Pool.live_domains ());
+         bump seen_busy (Pool.busy_domains ()))
+       [| (); () |]);
   Pool.retire p;
   check Alcotest.bool "worker counted live" true
     (Atomic.get seen_live >= before_live + 1);
