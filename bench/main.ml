@@ -895,8 +895,9 @@ let provenance_gate () =
    whole log — so throughput in events/s cannot stay flat for any
    extractor.  The gated figure is time per emitted side binding (one
    (op, count) entry of a release or acquire side): an extractor whose
-   work is linear in its output keeps it flat.  Best of 3 interleaved
-   runs per size; the 100k figure must stay within 1.5x of the 10k one.
+   work is linear in its output keeps it flat.  7 interleaved trials;
+   each trial's 100k figure over its own 10k figure is one paired
+   ratio, and the lower quartile of the ratios must stay within 1.5.
    Each size also records its span-cache hit rate (hits of all span-side
    lookups), the figure that keeps the cache justified. *)
 let extract_scaling () =
@@ -926,23 +927,24 @@ let extract_scaling () =
         0 windows,
       float hits /. float (max 1 lookups) )
   in
-  let best =
-    List.map Gate.best
-      (Gate.interleave ~k:3
-         (List.map (fun log () -> Gate.time (fun () -> Windows.extract log)) logs))
+  let times =
+    Gate.interleave ~k:7
+      (List.map (fun log () -> Gate.time (fun () -> Windows.extract log)) logs)
   in
   let rows =
     List.map2
-      (fun log s ->
+      (fun log ts ->
         let n = Sherlock_trace.Log.length log and b, hit_rate = profile log in
-        (n, s, b, 1e9 *. s /. float (max 1 b), hit_rate))
-      logs best
+        let ns = List.map (fun s -> 1e9 *. s /. float (max 1 b)) ts in
+        (n, Gate.median ts, b, ns, hit_rate))
+      logs times
   in
   let ns_at target =
     let _, _, _, ns, _ = List.find (fun (n, _, _, _, _) -> n = target) rows in
     ns
   in
-  let ratio = ns_at 100_000 /. ns_at 10_000 in
+  (* One ratio per trial: both sizes ran back to back in it. *)
+  let ratios = List.map2 ( /. ) (ns_at 100_000) (ns_at 10_000) in
   ( List.map
       (fun (n, s, b, ns, hit_rate) ->
         ( Printf.sprintf "e%d" n,
@@ -950,20 +952,26 @@ let extract_scaling () =
             [
               ("events_per_sec", num (float n /. s));
               ("side_bindings", count b);
-              ("ns_per_binding", num ns);
+              ("ns_per_binding", num (Gate.median ns));
               ("span_cache_hit_rate", num hit_rate);
             ] ))
       rows
-    @ [ ("ratio_100k_10k", num ratio) ],
-    [ ("ns per side binding at 100k <= 1.5x the 10k figure", ratio <= 1.5) ] )
+    @ [
+        ("ratio_100k_10k_lower_quartile", num (Gate.lower_quartile ratios));
+        ("ratio_100k_10k_median", num (Gate.median ratios));
+      ],
+    [
+      ( "ns per side binding at 100k <= 1.5x the 10k figure (lower quartile)",
+        Gate.within ~limit:1.5 ratios );
+    ] )
 
-(* Metrics-plane gate: the full corpus inferred with the live stats
-   plane fully on — registry enabled, runtime gauges installed, a ring
-   snapshotting on the 100 ms ticker with each snapshot atomically
-   rewritten as OpenMetrics (exactly what `run --metrics-out` wires
-   up), one ring and ticker lifetime per sweep.  Gated statistic: the
+(* Metrics-plane gate: the full corpus inferred inside
+   [Snapshot.with_plane] — registry enabled, runtime gauges installed,
+   per-round and 100 ms ticker snapshots, each exported snapshot
+   atomically rewritten as OpenMetrics (exactly what `run --metrics-out`
+   wires up), one plane lifetime per sweep.  Gated statistic: the
    plane's *direct* cost — seconds spent capturing snapshots and
-   rewriting the file, self-accounted by the ring
+   rewriting the file, self-accounted by the plane
    ([Snapshot.busy_seconds]) — as a fraction of the sweep's wall-clock,
    which must stay within 3% (lower quartile of 5 sweeps interleaved
    with plane-off sweeps; one sweep holds only one to three snapshots,
@@ -992,27 +1000,21 @@ let stats_gate () =
   let busy = ref [] and snapshots = ref 0 and exported_ok = ref true in
   let sweep_off () = Gate.time (fun () -> off_verdicts := corpus ()) in
   let sweep_on () =
-    Tm.set_enabled true;
-    Tsnap.install_runtime_gauges ();
-    let ring =
-      Tsnap.create
-        ~on_snapshot:(fun p ->
-          try Om.write_atomic out (Om.of_point p) with Sys_error _ -> ())
-        ()
+    let exports = ref 0 in
+    let export p =
+      incr exports;
+      try Om.write_atomic out (Om.of_point p) with Sys_error _ -> ()
     in
-    Tsnap.install ring;
-    Tsnap.start_ticker ~interval_ms:100 ();
-    let s =
-      Fun.protect
-        ~finally:(fun () ->
-          Tsnap.stop_ticker ();
-          Tsnap.uninstall ();
-          Tm.set_enabled false;
-          Tm.reset Tm.default)
-        (fun () -> Gate.time (fun () -> on_verdicts := corpus ()))
+    (* Cost and count are read before the plane's final snapshot, which
+       falls outside the timed sweep. *)
+    let s, b, n =
+      Fun.protect ~finally:(fun () -> Tm.reset Tm.default) @@ fun () ->
+      Tsnap.with_plane ~interval_ms:100 ~on_snapshot:export (fun plane ->
+          let s = Gate.time (fun () -> on_verdicts := corpus ()) in
+          (s, Tsnap.busy_seconds plane, !exports))
     in
-    busy := !busy @ [ Tsnap.busy_seconds ring ];
-    snapshots := !snapshots + Tsnap.length ring;
+    busy := !busy @ [ b ];
+    snapshots := !snapshots + n;
     exported_ok := !exported_ok && Result.is_ok (Om.parse_file out);
     s
   in

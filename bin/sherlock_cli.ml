@@ -125,43 +125,6 @@ let telemetry_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE" ~doc)
 
-(* Wrap a command body in a span collector + enabled metrics registry when
-   the user asked for telemetry; export the spans afterwards. *)
-let with_telemetry out f =
-  match out with
-  | None -> f ()
-  | Some path ->
-    let collector = Telemetry.Span.create_collector () in
-    Telemetry.Span.set_collector (Some collector);
-    Telemetry.Metrics.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Telemetry.Span.set_collector None;
-        Telemetry.Metrics.set_enabled false)
-      (fun () ->
-        let r = f () in
-        (* Spans plus the per-round counter samples: without the samples a
-           counter appears in Perfetto as a single end-of-run value instead
-           of a track progressing round by round. *)
-        let events =
-          Telemetry.Perfetto.of_spans collector
-          @ Telemetry.Perfetto.of_samples
-              ~epoch:(Telemetry.Span.epoch collector)
-              (Telemetry.Metrics.samples ())
-        in
-        Telemetry.Perfetto.write path events;
-        Printf.printf "wrote %d telemetry spans to %s\n"
-          (Telemetry.Span.span_count collector)
-          path;
-        r)
-
-(* ------------------------------------------------------------------ *)
-(* The always-on metrics plane: --metrics-out installs a snapshot ring
-   whose every snapshot atomically rewrites an OpenMetrics file, plus
-   runtime gauges (GC, pool occupancy) and a SIGUSR1
-   on-demand dump; --log-out / SHERLOCK_LOG install the structured JSONL
-   log sink.  Orthogonal to --telemetry-out (span traces). *)
-
 let metrics_out_arg =
   let doc =
     "Continuously export the metrics registry (every counter, gauge, and \
@@ -174,7 +137,7 @@ let metrics_out_arg =
 
 let metrics_interval_arg =
   let doc =
-    "Snapshot interval in milliseconds while inference runs (with \
+    "Snapshot interval in milliseconds while the command runs (with \
      $(b,--metrics-out)); 0 keeps only per-round and SIGUSR1 snapshots."
   in
   Arg.(value & opt int 100 & info [ "metrics-interval" ] ~docv:"MS" ~doc)
@@ -188,35 +151,49 @@ let log_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "log-out" ] ~docv:"FILE" ~doc)
 
-let with_metrics_plane ~metrics_out ~log_out f =
+(* Run a command body with the observability the user asked for: the
+   structured JSONL log (--log-out / SHERLOCK_LOG), and the metrics
+   plane when spans (--telemetry-out) or an OpenMetrics file
+   (--metrics-out) are wanted.  Every exported snapshot rewrites the
+   OpenMetrics file; the plane's per-round points become the Perfetto
+   counter tracks beside the spans, so a counter progresses round by
+   round instead of showing a single end-of-run value. *)
+let with_telemetry ~telemetry_out ~metrics_out ~metrics_interval ~log_out f =
   Telemetry.Log.init_from_env ();
   (match log_out with Some path -> Telemetry.Log.to_file path | None -> ());
-  let close_log () = if log_out <> None then Telemetry.Log.close () in
-  match metrics_out with
-  | None -> Fun.protect ~finally:close_log f
-  | Some path ->
-    Telemetry.Metrics.set_enabled true;
-    Telemetry.Snapshot.install_runtime_gauges ();
-    let ring =
-      Telemetry.Snapshot.create
-        ~on_snapshot:(fun p ->
-          (* A full disk or unwritable path must not kill the run the
-             plane is observing. *)
-          try Telemetry.Openmetrics.write_atomic path (Telemetry.Openmetrics.of_point p)
-          with Sys_error _ -> ())
-        ()
+  Fun.protect ~finally:(fun () -> if log_out <> None then Telemetry.Log.close ())
+  @@ fun () ->
+  if telemetry_out = None && metrics_out = None then f ()
+  else begin
+    let collector = Telemetry.Span.create_collector () in
+    if telemetry_out <> None then Telemetry.Span.set_collector (Some collector);
+    Fun.protect ~finally:(fun () -> Telemetry.Span.set_collector None) @@ fun () ->
+    let export p =
+      (* A full disk or unwritable path must not kill the run the plane
+         is observing. *)
+      match metrics_out with
+      | Some path -> (
+        try Telemetry.Openmetrics.write_atomic path (Telemetry.Openmetrics.of_point p)
+        with Sys_error _ -> ())
+      | None -> ()
     in
-    Telemetry.Snapshot.install ring;
-    Telemetry.Snapshot.install_sigusr1 ();
-    Fun.protect
-      ~finally:(fun () ->
-        (* Final snapshot so the exported file reflects the finished
-           run, not the last tick. *)
-        ignore (Telemetry.Snapshot.take ~label:"final" ring);
-        Telemetry.Snapshot.uninstall ();
-        Telemetry.Metrics.set_enabled false;
-        close_log ())
-      f
+    let r, rounds =
+      Telemetry.Snapshot.with_plane ~interval_ms:metrics_interval ~on_snapshot:export
+        (fun plane ->
+          let r = f () in
+          (r, Telemetry.Snapshot.rounds plane))
+    in
+    (match telemetry_out with
+    | None -> ()
+    | Some path ->
+      Telemetry.Perfetto.write path
+        (Telemetry.Perfetto.of_spans collector
+        @ Telemetry.Perfetto.of_points ~epoch:(Telemetry.Span.epoch collector) rounds);
+      Printf.printf "wrote %d telemetry spans to %s\n"
+        (Telemetry.Span.span_count collector)
+        path);
+    r
+  end
 
 (* Fold the flat per-run trace metrics into the registry (as trace.*
    counters/histograms) so exports and the stats console cover the
@@ -248,17 +225,11 @@ let run_cmd =
       if provenance_out <> None then { config with Config.provenance = true }
       else config
     in
-    let config =
-      if metrics_out <> None then
-        { config with Config.metrics_interval_ms = metrics_interval }
-      else config
-    in
     let app, result =
-      with_metrics_plane ~metrics_out ~log_out (fun () ->
-          with_telemetry telemetry_out (fun () ->
-              let r = infer_run config app_name in
-              if metrics_out <> None then bridge_trace_metrics (snd r);
-              r))
+      with_telemetry ~telemetry_out ~metrics_out ~metrics_interval ~log_out (fun () ->
+          let r = infer_run config app_name in
+          if metrics_out <> None then bridge_trace_metrics (snd r);
+          r)
     in
     (match (provenance_out, result.Orchestrator.provenance) with
     | Some path, Some prov ->
@@ -680,119 +651,6 @@ let explain_cmd =
    between the live path (run inference, snapshot the registry) and the
    file path (parse an OpenMetrics export written by --metrics-out). *)
 
-(* Reconstruct a snapshot point from a parsed exposition.  The raw
-   registry name round-trips through the HELP text the exporter writes
-   ("SherLock metric <raw>"); histogram buckets de-cumulate from the
-   le-labelled series. *)
-let point_of_families (families : Telemetry.Openmetrics.family list) =
-  let open Telemetry.Openmetrics in
-  let raw_name (f : family) =
-    let prefix = "SherLock metric " in
-    match f.f_help with
-    | Some h when String.length h > String.length prefix
-                  && String.sub h 0 (String.length prefix) = prefix ->
-      String.sub h (String.length prefix) (String.length h - String.length prefix)
-    | _ -> f.f_name
-  in
-  let ends_with suffix s =
-    let ls = String.length s and lx = String.length suffix in
-    ls >= lx && String.sub s (ls - lx) lx = suffix
-  in
-  let ts = ref 0.0 and seq = ref 0 in
-  let counters = ref [] and gauges = ref [] and hists = ref [] in
-  List.iter
-    (fun (f : family) ->
-      match f.f_name with
-      | "sherlock_snapshot_timestamp_seconds" ->
-        (match f.f_samples with s :: _ -> ts := s.s_value | [] -> ())
-      | "sherlock_snapshot_seq" ->
-        (match f.f_samples with
-        | s :: _ -> seq := int_of_float s.s_value
-        | [] -> ())
-      | _ -> (
-        let raw = raw_name f in
-        match f.f_type with
-        | MCounter -> (
-          match f.f_samples with
-          | s :: _ -> counters := (raw, int_of_float s.s_value) :: !counters
-          | [] -> ())
-        | MGauge -> (
-          match f.f_samples with
-          | s :: _ -> gauges := (raw, int_of_float s.s_value) :: !gauges
-          | [] -> ())
-        | MHistogram ->
-          let buckets = Array.make 63 0 in
-          let sum = ref 0.0 and count = ref 0 in
-          let cums = ref [] in
-          List.iter
-            (fun s ->
-              if ends_with "_bucket" s.s_series then begin
-                match List.assoc_opt "le" s.s_labels with
-                | None | Some "+Inf" -> ()
-                | Some le -> (
-                  match float_of_string_opt le with
-                  | None -> ()
-                  | Some le ->
-                    let idx =
-                      if le <= 1.0 then 0
-                      else int_of_float (Float.round (Float.log2 le))
-                    in
-                    if idx >= 0 && idx < Array.length buckets then
-                      cums := (idx, int_of_float s.s_value) :: !cums)
-              end
-              else if ends_with "_sum" s.s_series then sum := s.s_value
-              else if ends_with "_count" s.s_series then
-                count := int_of_float s.s_value)
-            f.f_samples;
-          let cums = List.sort compare !cums in
-          let prev = ref 0 in
-          List.iter
-            (fun (i, cum) ->
-              buckets.(i) <- cum - !prev;
-              prev := cum)
-            cums;
-          hists :=
-            ( raw,
-              {
-                Telemetry.Snapshot.h_count = !count;
-                h_sum = !sum;
-                (* The exposition carries no exact min/max; the renderer
-                   treats these as unknown. *)
-                h_min = infinity;
-                h_max = neg_infinity;
-                h_buckets = buckets;
-              } )
-            :: !hists
-        | MUnknown -> ()))
-    families;
-  let sorted l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  {
-    Telemetry.Snapshot.p_seq = !seq;
-    p_ts = !ts;
-    p_label = "file";
-    p_counters = sorted !counters;
-    p_gauges = sorted !gauges;
-    p_hists = sorted !hists;
-  }
-
-let hist_percentile (h : Telemetry.Snapshot.hist_summary) q =
-  if h.h_count = 0 then nan
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let cum = ref 0 and res = ref nan in
-    (try
-       Array.iteri
-         (fun i n ->
-           cum := !cum + n;
-           if !res <> !res && float_of_int !cum >= target then begin
-             res := (if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i));
-             raise Exit
-           end)
-         h.h_buckets
-     with Exit -> ());
-    !res
-  end
-
 let utilization_bar ~width frac =
   let frac = Float.max 0.0 (Float.min 1.0 frac) in
   let full = int_of_float (Float.round (frac *. float_of_int width)) in
@@ -800,7 +658,7 @@ let utilization_bar ~width frac =
     [ "["; String.make full '#'; String.make (width - full) '-'; "]" ]
 
 (* One-line sparkline over the populated bucket range. *)
-let hist_spark (h : Telemetry.Snapshot.hist_summary) =
+let hist_spark (h : Telemetry.Metrics.Histogram.export) =
   let first = ref (-1) and last = ref (-1) in
   Array.iteri
     (fun i n ->
@@ -808,18 +666,18 @@ let hist_spark (h : Telemetry.Snapshot.hist_summary) =
         if !first < 0 then first := i;
         last := i
       end)
-    h.h_buckets;
+    h.e_buckets;
   if !first < 0 then ""
   else begin
     let blocks = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                     "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                     "\xe2\x96\x87"; "\xe2\x96\x88" |] in
     let peak =
-      Array.fold_left max 1 (Array.sub h.h_buckets !first (!last - !first + 1))
+      Array.fold_left max 1 (Array.sub h.e_buckets !first (!last - !first + 1))
     in
     let b = Buffer.create 32 in
     for i = !first to !last do
-      let n = h.h_buckets.(i) in
+      let n = h.e_buckets.(i) in
       if n = 0 then Buffer.add_char b ' '
       else
         Buffer.add_string b blocks.(min 7 (n * 8 / peak))
@@ -831,7 +689,7 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   let c name = Option.value ~default:0 (List.assoc_opt name p.p_counters) in
   let g name = Option.value ~default:0 (List.assoc_opt name p.p_gauges) in
   let h name = List.assoc_opt name p.p_hists in
-  let hist_sum name = match h name with Some s -> s.h_sum | None -> 0.0 in
+  let hist_sum name = match h name with Some s -> s.e_sum | None -> 0.0 in
   let pr fmt = Format.fprintf ppf fmt in
   let tm = Unix.localtime p.p_ts in
   pr "sherlock stats — snapshot #%d (%s) at %04d-%02d-%02d %02d:%02d:%02d@.@."
@@ -892,9 +750,11 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
        else "")
       (c "lp.aborted");
     (match h "lp.pivots" with
-    | Some ph when ph.h_count > 0 ->
+    | Some ph when ph.e_count > 0 ->
       pr "    pivots         %d total, per solve p50<=%.0f p95<=%.0f@."
-        (c "lp.pivots.total") (hist_percentile ph 0.5) (hist_percentile ph 0.95)
+        (c "lp.pivots.total")
+        (Telemetry.Metrics.Histogram.percentile ph 0.5)
+        (Telemetry.Metrics.Histogram.percentile ph 0.95)
     | _ -> ());
     pr "    factorization  %d refactors, eta file now %d@.@." (c "lp.refactors")
       (g "lp.eta_len")
@@ -917,10 +777,10 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   end;
   (* Top histograms by observation count. *)
   let top =
-    List.filter (fun (_, (s : Telemetry.Snapshot.hist_summary)) -> s.h_count > 0)
+    List.filter (fun (_, (s : Telemetry.Metrics.Histogram.export)) -> s.e_count > 0)
       p.p_hists
-    |> List.sort (fun (_, (a : Telemetry.Snapshot.hist_summary)) (_, b) ->
-           compare b.h_count a.h_count)
+    |> List.sort (fun (_, (a : Telemetry.Metrics.Histogram.export)) (_, b) ->
+           compare b.e_count a.e_count)
   in
   let rec take n = function
     | [] -> []
@@ -931,10 +791,10 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   if top <> [] then begin
     pr "  top histograms@.";
     List.iter
-      (fun (name, (s : Telemetry.Snapshot.hist_summary)) ->
-        pr "    %-28s n=%-8d mean %-10.1f %s%s@." name s.h_count
-          (s.h_sum /. float_of_int s.h_count)
-          (if s.h_max > neg_infinity then Printf.sprintf "max %-8.0f " s.h_max
+      (fun (name, (s : Telemetry.Metrics.Histogram.export)) ->
+        pr "    %-28s n=%-8d mean %-10.1f %s%s@." name s.e_count
+          (s.e_sum /. float_of_int s.e_count)
+          (if s.e_max > neg_infinity then Printf.sprintf "max %-8.0f " s.e_max
            else "")
           (hist_spark s))
       top
@@ -949,7 +809,7 @@ let stats_cmd =
         Printf.eprintf "cannot parse OpenMetrics file %s: %s\n" path msg;
         exit 2
       | Ok families ->
-        render_stats Format.std_formatter (point_of_families families))
+        render_stats Format.std_formatter (Telemetry.Openmetrics.to_point families))
     | None -> (
       match app_name with
       | None ->
@@ -959,13 +819,12 @@ let stats_cmd =
       | Some app_name ->
         (* Live mode: run inference with the full plane on, then render
            the end-of-run snapshot. *)
-        Telemetry.Metrics.set_enabled true;
-        Telemetry.Snapshot.install_runtime_gauges ();
-        let _app, result = infer_run config app_name in
-        bridge_trace_metrics result;
-        let ring = Telemetry.Snapshot.create ~capacity:1 () in
         render_stats Format.std_formatter
-          (Telemetry.Snapshot.take ~label:"live" ring))
+          (Telemetry.Snapshot.with_plane ~interval_ms:0 ~on_snapshot:ignore
+             (fun plane ->
+               let _app, result = infer_run config app_name in
+               bridge_trace_metrics result;
+               Telemetry.Snapshot.take ~label:"live" plane)))
   in
   let app_opt =
     let doc = "Application to analyze live (omit when reading --from a file)." in

@@ -275,13 +275,13 @@ let aborted t info =
   t.info <- info;
   record_info info;
   record_abort ();
-  (let module L = Sherlock_telemetry.Log in
-   L.warn "lp.aborted"
+  (let module Tspan = Sherlock_telemetry.Span in
+   Sherlock_telemetry.Log.warn "lp.aborted"
      [
-       ("pivots", L.Int info.pivots);
-       ("refactors", L.Int info.refactors);
-       ("vars", L.Int t.count);
-       ("constraints", L.Int t.nconstrs);
+       ("pivots", Tspan.Int info.pivots);
+       ("refactors", Tspan.Int info.refactors);
+       ("vars", Tspan.Int t.count);
+       ("constraints", Tspan.Int t.nconstrs);
      ]);
   (Aborted, fun _ -> 0.0)
 

@@ -16,6 +16,8 @@ let float_str f =
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
   end
 
+(* Quote, backslash and control bytes are escaped; every other byte,
+   UTF-8 included, is copied as it is. *)
 let add_string buf s =
   Buffer.add_char buf '"';
   String.iter
@@ -37,10 +39,8 @@ let to_string v =
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f ->
-      if not (Float.is_finite f) then
-        invalid_arg "Json.to_string: non-finite number";
-      Buffer.add_string buf (float_str f)
+    | Num f when not (Float.is_finite f) -> Buffer.add_string buf "null"
+    | Num f -> Buffer.add_string buf (float_str f)
     | Str s -> add_string buf s
     | Arr xs ->
       Buffer.add_char buf '[';

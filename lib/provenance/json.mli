@@ -1,12 +1,12 @@
 (** Minimal JSON tree, printer, and parser.
 
-    Just enough for the provenance sidecar: no dependency beyond the
-    standard library, compact one-line output, and a recursive-descent
+    Just enough for the provenance sidecar, the telemetry exports
+    (Perfetto traces, JSONL logs) and the bench records: no dependency
+    beyond the standard library, compact one-line output, and a recursive-descent
     parser whose errors carry a byte offset.  Numbers are [float]s;
     integers survive a round trip exactly up to 2^53, and every finite
     float is printed with enough digits to parse back to the same bits.
-    Non-finite numbers have no JSON spelling — encode them as {!Null}
-    before writing. *)
+    Non-finite numbers have no JSON spelling and print as [null]. *)
 
 type t =
   | Null
@@ -17,13 +17,8 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (no whitespace) rendering.  Raises [Invalid_argument] on a
-    non-finite {!Num}. *)
-
-val add_string : Buffer.t -> string -> unit
-(** Append [s] as a quoted JSON string literal: quote, backslash and
-    control bytes escaped ([\n], [\r], [\t], else [\u00XX]); other
-    bytes, UTF-8 included, are copied as they are. *)
+(** Compact (no whitespace) rendering; a non-finite {!Num} prints as
+    [null]. *)
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed).  The error

@@ -61,8 +61,6 @@ let equal a b = compare a b = 0
 
 (* --- encoding --- *)
 
-let num f = if Float.is_finite f then Json.Num f else Json.Null
-
 let int i = Json.Num (float_of_int i)
 
 let coord_to_json c =
@@ -93,10 +91,10 @@ let constraint_to_json c =
     [
       ("tag", Json.Str c.c_tag);
       ("rel", Json.Str c.c_rel);
-      ("rhs", num c.c_rhs);
-      ("activity", num c.c_activity);
-      ("coeff", num c.c_coeff);
-      ("dual", num c.c_dual);
+      ("rhs", Json.Num c.c_rhs);
+      ("activity", Json.Num c.c_activity);
+      ("coeff", Json.Num c.c_coeff);
+      ("dual", Json.Num c.c_dual);
       ("binding", Json.Bool c.c_binding);
     ]
 
@@ -105,9 +103,9 @@ let verdict_to_json v =
     [
       ("op", Json.Str v.v_op);
       ("role", Json.Str v.v_role);
-      ("probability", num v.v_probability);
-      ("margin", num v.v_margin);
-      ("reduced_cost", num v.v_reduced_cost);
+      ("probability", Json.Num v.v_probability);
+      ("margin", Json.Num v.v_margin);
+      ("reduced_cost", Json.Num v.v_reduced_cost);
       ("first_round", int v.v_first_round);
       ("stable_round", int v.v_stable_round);
       ("windows", Json.Arr (List.map window_to_json v.v_windows));
@@ -119,7 +117,7 @@ let round_to_json r =
     [
       ("round", int r.r_round);
       ("windows_after", int r.r_windows_after);
-      ("objective", num r.r_objective);
+      ("objective", Json.Num r.r_objective);
       ("degraded", Json.Bool r.r_degraded);
       ( "verdicts",
         Json.Arr

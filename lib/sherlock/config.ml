@@ -26,7 +26,6 @@ type t = {
   fault_plan : Sherlock_sim.Fault.plan;
   use_warm_start : bool;
   provenance : bool;
-  metrics_interval_ms : int;
 }
 
 let default =
@@ -58,7 +57,6 @@ let default =
     fault_plan = Sherlock_sim.Fault.empty;
     use_warm_start = true;
     provenance = false;
-    metrics_interval_ms = 0;
   }
 
 let pp ppf t =
@@ -69,7 +67,5 @@ let pp ppf t =
     t.parallelism t.max_steps t.retries;
   if not t.use_warm_start then Format.fprintf ppf " warm-start=off";
   if t.provenance then Format.fprintf ppf " provenance=on";
-  if t.metrics_interval_ms > 0 then
-    Format.fprintf ppf " metrics-interval=%dms" t.metrics_interval_ms;
   if not (Sherlock_sim.Fault.is_empty t.fault_plan) then
     Format.fprintf ppf " fault=[%a]" Sherlock_sim.Fault.pp t.fault_plan

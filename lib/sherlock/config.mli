@@ -65,12 +65,6 @@ type t = {
           and [sherlock explain].  Off by default; when off the pipeline
           allocates nothing for it, and capture never changes verdicts
           either way. *)
-  metrics_interval_ms : int;
-      (** snapshot the installed metrics ring on this interval for the
-          duration of {!Orchestrator.infer} (the ticker systhread runs
-          only while inference does).  0 (the default) starts no ticker;
-          per-round snapshots still happen whenever a ring is
-          installed. *)
 }
 
 val default : t

@@ -160,30 +160,30 @@ let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
       Tm.Counter.incr c_failed;
       Tlog.warn "orch.run.failed"
         [
-          ("test", Tlog.Str name);
-          ("round", Tlog.Int round);
-          ("attempt", Tlog.Int attempt);
-          ("kind", Tlog.Str (failure_kind f));
-          ("detail", Tlog.Str (failure_to_string f));
+          ("test", Tspan.Str name);
+          ("round", Tspan.Int round);
+          ("attempt", Tspan.Int attempt);
+          ("kind", Tspan.Str (failure_kind f));
+          ("detail", Tspan.Str (failure_to_string f));
         ];
       if attempt < config.retries then begin
         Tm.Counter.incr c_retried;
         Tlog.info "orch.run.retry"
           [
-            ("test", Tlog.Str name);
-            ("round", Tlog.Int round);
-            ("next_attempt", Tlog.Int (attempt + 1));
-            ("retries_left", Tlog.Int (config.retries - attempt - 1));
+            ("test", Tspan.Str name);
+            ("round", Tspan.Int round);
+            ("next_attempt", Tspan.Int (attempt + 1));
+            ("retries_left", Tspan.Int (config.retries - attempt - 1));
           ];
         attempt_run (attempt + 1) (f :: failures)
       end
       else begin
         Tlog.error "orch.run.dropped"
           [
-            ("test", Tlog.Str name);
-            ("round", Tlog.Int round);
-            ("attempts", Tlog.Int (attempt + 1));
-            ("kind", Tlog.Str (failure_kind f));
+            ("test", Tspan.Str name);
+            ("round", Tspan.Int round);
+            ("attempts", Tspan.Int (attempt + 1));
+            ("kind", Tspan.Str (failure_kind f));
           ];
         ( None,
           {
@@ -239,17 +239,7 @@ let infer ?(config = Config.default) subject =
      below: a finished inference must leave no parked domain behind to
      slow the caller's subsequent sequential work. *)
   let pool = Pool.create () in
-  (* The snapshot ticker runs only while inference does: started here
-     (no-op when the interval is 0 or no ring is installed) and stopped
-     in the same [finally] that retires the pool, so a finished
-     inference leaves neither parked domains nor a live systhread. *)
-  if config.metrics_interval_ms > 0 then
-    Tsnap.start_ticker ~interval_ms:config.metrics_interval_ms ();
-  Fun.protect
-    ~finally:(fun () ->
-      if config.metrics_interval_ms > 0 then Tsnap.stop_ticker ();
-      Pool.retire pool)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Pool.retire pool) @@ fun () ->
   for round = 1 to config.rounds do
     Tspan.with_span ~name:"round" ~attrs:[ ("round", Tspan.Int round) ]
     @@ fun () ->
@@ -284,9 +274,9 @@ let infer ?(config = Config.default) subject =
       Tm.Counter.incr c_degraded;
       Tlog.warn "orch.lp.degraded"
         [
-          ("round", Tlog.Int round);
-          ("windows", Tlog.Int stats.num_windows);
-          ("vars", Tlog.Int stats.num_vars);
+          ("round", Tspan.Int round);
+          ("windows", Tspan.Int stats.num_windows);
+          ("vars", Tspan.Int stats.num_vars);
         ]
     end;
     rounds :=
@@ -315,16 +305,14 @@ let infer ?(config = Config.default) subject =
          :: !prov_rounds);
     Tlog.info "orch.round"
       [
-        ("round", Tlog.Int round);
-        ("windows", Tlog.Int stats.num_windows);
-        ("vars", Tlog.Int stats.num_vars);
-        ("verdicts", Tlog.Int (List.length verdicts));
-        ("failed_runs", Tlog.Int (failed_runs run_reports));
-        ("degraded", Tlog.Bool stats.degraded);
+        ("round", Tspan.Int round);
+        ("windows", Tspan.Int stats.num_windows);
+        ("vars", Tspan.Int stats.num_vars);
+        ("verdicts", Tspan.Int (List.length verdicts));
+        ("failed_runs", Tspan.Int (failed_runs run_reports));
+        ("degraded", Tspan.Bool stats.degraded);
       ];
-    ignore (Tsnap.take_installed_if_due ~label:(Printf.sprintf "round %d" round) ());
-    if Tm.enabled () then
-      Tm.sample ~label:(Printf.sprintf "round %d" round) ();
+    Tsnap.take_round ~label:(Printf.sprintf "round %d" round) ();
     plan :=
       (if config.use_delays then Perturber.of_verdicts ~delay_us:config.delay_us verdicts
        else Perturber.empty);

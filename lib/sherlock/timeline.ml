@@ -1,5 +1,6 @@
 open Sherlock_trace
 module P = Sherlock_telemetry.Perfetto
+module Tspan = Sherlock_telemetry.Span
 module Schedule = Sherlock_sim.Schedule
 
 type test_timeline = {
@@ -92,9 +93,9 @@ let delay_events ~pid ~plan (t : test_timeline) =
       if e.delayed_by > 0 then begin
         let args =
           [
-            ("op", P.Str (Opid.to_string e.op));
-            ("delayed_us", P.Int e.delayed_by);
-            ("planned_us", P.Int (Perturber.delay_before plan e.op));
+            ("op", Tspan.Str (Opid.to_string e.op));
+            ("delayed_us", Tspan.Int e.delayed_by);
+            ("planned_us", Tspan.Int (Perturber.delay_before plan e.op));
           ]
         in
         events :=
@@ -154,7 +155,7 @@ let flow_events ~pid ~near ~max_flows ~next_flow_id (t : test_timeline) =
                 incr emitted;
                 let access (e : Event.t) =
                   P.complete ~cat:"access"
-                    ~args:[ ("field", P.Str (Opid.field_key e.op)) ]
+                    ~args:[ ("field", Tspan.Str (Opid.field_key e.op)) ]
                     ~name:(Opid.to_string e.op) ~ts:e.time ~dur:1 ~pid
                     ~tid:(frames_track e.tid) ()
                 in
@@ -209,12 +210,12 @@ let evidence_flows ?(max_flows = 256) ?(test_pid = 1)
                 let t1 = max c.Pr.c_time1 c.Pr.c_time2 in
                 let args =
                   [
-                    ("window", P.Int w.Pr.w_id);
-                    ("field", P.Str w.Pr.w_field);
-                    ("side", P.Str w.Pr.w_side);
-                    ("round", P.Int w.Pr.w_round);
-                    ("count", P.Int w.Pr.w_count);
-                    ("weight", P.Int w.Pr.w_weight);
+                    ("window", Tspan.Int w.Pr.w_id);
+                    ("field", Tspan.Str w.Pr.w_field);
+                    ("side", Tspan.Str w.Pr.w_side);
+                    ("round", Tspan.Int w.Pr.w_round);
+                    ("count", Tspan.Int w.Pr.w_count);
+                    ("weight", Tspan.Int w.Pr.w_weight);
                   ]
                 in
                 events :=

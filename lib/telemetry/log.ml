@@ -30,8 +30,6 @@ let level_of_string s =
   | "error" -> Some Error
   | _ -> None
 
-type value = Int of int | Float of float | Bool of bool | Str of string
-
 type sink =
   | Null
   | Chan of { oc : out_channel; close : bool }
@@ -101,32 +99,17 @@ let init_from_env () =
       set_level level
     | _ -> to_file spec)
 
-let buf_add_value b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-    (* JSON has no nan/infinity literal; null keeps the line parseable. *)
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
-    else Buffer.add_string b "null"
-  | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
-  | Str s -> Json.add_string b s
-
 let render level event fields ~ts ~elapsed ~domain =
-  let b = Buffer.create 160 in
-  Buffer.add_string b (Printf.sprintf {|{"ts":%.6f,"elapsed_s":%.6f,|} ts elapsed);
-  Buffer.add_string b {|"level":|};
-  Json.add_string b (level_name level);
-  Buffer.add_string b {|,"event":|};
-  Json.add_string b event;
-  Buffer.add_string b (Printf.sprintf {|,"domain":%d|} domain);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      Json.add_string b k;
-      Buffer.add_char b ':';
-      buf_add_value b v)
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       ([
+          ("ts", Json.Num ts);
+          ("elapsed_s", Json.Num elapsed);
+          ("level", Json.Str (level_name level));
+          ("event", Json.Str event);
+          ("domain", Json.Num (float_of_int domain));
+        ]
+       @ List.map (fun (k, v) -> (k, Span.json_of_value v)) fields))
 
 let emit level event fields =
   if enabled level then begin

@@ -22,8 +22,6 @@ val level_name : level -> string
 
 val level_of_string : string -> level option
 
-type value = Int of int | Float of float | Bool of bool | Str of string
-
 val set_level : level -> unit
 (** Minimum level that reaches the sink; default [Debug]. *)
 
@@ -46,14 +44,15 @@ val init_from_env : unit -> unit
 (** Honor [SHERLOCK_LOG]: a path, ["stderr"], or ["LEVEL:PATH"] (e.g.
     ["warn:run.jsonl"]).  Unset or empty: no sink. *)
 
-val emit : level -> string -> (string * value) list -> unit
-(** [emit level event fields] writes one line; [Float nan] renders as
-    [null] so lines stay valid JSON. *)
+val emit : level -> string -> (string * Span.value) list -> unit
+(** [emit level event fields] writes one line, printed by
+    {!Sherlock_provenance.Json.to_string}: a non-finite [Float] renders
+    as [null], so lines stay valid JSON. *)
 
-val debug : string -> (string * value) list -> unit
+val debug : string -> (string * Span.value) list -> unit
 
-val info : string -> (string * value) list -> unit
+val info : string -> (string * Span.value) list -> unit
 
-val warn : string -> (string * value) list -> unit
+val warn : string -> (string * Span.value) list -> unit
 
-val error : string -> (string * value) list -> unit
+val error : string -> (string * Span.value) list -> unit

@@ -62,16 +62,6 @@ module Histogram = struct
 
   let observe_int t v = observe t (float_of_int v)
 
-  let count t = t.count
-
-  let sum t = t.sum
-
-  let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
-
-  let min_value t = t.min_v
-
-  let max_value t = t.max_v
-
   type export = {
     e_count : int;
     e_sum : float;
@@ -97,24 +87,23 @@ module Histogram = struct
     Mutex.unlock t.mutex;
     e
 
-  let percentile t p =
-    if t.count = 0 then nan
+  (* The upper bound of the bucket holding the p-quantile, clamped into
+     the observed range when the export carries one (an export decoded
+     from an exposition has no min/max: [e_min > e_max]). *)
+  let percentile e p =
+    if e.e_count = 0 then nan
     else begin
-      let rank = p *. float_of_int t.count in
-      let seen = ref 0 in
-      let result = ref t.max_v in
-      (try
-         for i = 0 to num_buckets - 1 do
-           seen := !seen + t.buckets.(i);
-           if float_of_int !seen >= rank then begin
-             (* Upper bound of the bucket, clamped into the observed range. *)
-             let upper = if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i) in
-             result := Float.min t.max_v (Float.max t.min_v upper);
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
+      let rank = p *. float_of_int e.e_count in
+      let rec upper i seen =
+        if i >= Array.length e.e_buckets then e.e_max
+        else
+          let seen = seen + e.e_buckets.(i) in
+          if float_of_int seen >= rank then
+            if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
+          else upper (i + 1) seen
+      in
+      let v = upper 0 0 in
+      if e.e_min <= e.e_max then Float.min e.e_max (Float.max e.e_min v) else v
     end
 end
 
@@ -147,18 +136,11 @@ module Gauge = struct
     | Fn f -> ( try f () with _ -> 0)
 end
 
-type sample = {
-  sample_s : float;
-  sample_label : string;
-  sample_counters : (string * int) list;
-}
-
 type registry = {
   mutex : Mutex.t;
   counters : (string, Counter.t) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;
-  mutable samples : sample list; (* reversed *)
 }
 
 let create () =
@@ -167,7 +149,6 @@ let create () =
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 32;
     gauges = Hashtbl.create 32;
-    samples = [];
   }
 
 let default = create ()
@@ -214,28 +195,11 @@ let histograms reg = sorted_values reg.histograms Histogram.name
 
 let gauges reg = sorted_values reg.gauges Gauge.name
 
-let sample ?(registry = default) ~label () =
-  let now = Unix.gettimeofday () in
-  Mutex.lock registry.mutex;
-  let sample_counters =
-    Hashtbl.fold
-      (fun name c acc -> (name, Counter.value c) :: acc)
-      registry.counters []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  registry.samples <-
-    { sample_s = now; sample_label = label; sample_counters }
-    :: registry.samples;
-  Mutex.unlock registry.mutex
-
-let samples ?(registry = default) () = List.rev registry.samples
-
 let reset reg =
   Mutex.lock reg.mutex;
   Hashtbl.reset reg.counters;
   Hashtbl.reset reg.histograms;
   Hashtbl.reset reg.gauges;
-  reg.samples <- [];
   Mutex.unlock reg.mutex
 
 let pp_summary ppf reg =
@@ -253,13 +217,14 @@ let pp_summary ppf reg =
   Format.fprintf ppf "telemetry histograms:@,";
   List.iter
     (fun h ->
+      let e = Histogram.export h in
       Format.fprintf ppf
         "  %-42s n=%d mean=%.1f min=%.1f max=%.1f p50<=%.0f p95<=%.0f \
          p99<=%.0f@,"
-        (Histogram.name h) (Histogram.count h) (Histogram.mean h)
-        (Histogram.min_value h) (Histogram.max_value h)
-        (Histogram.percentile h 0.5)
-        (Histogram.percentile h 0.95)
-        (Histogram.percentile h 0.99))
+        (Histogram.name h) e.e_count
+        (e.e_sum /. float_of_int e.e_count)
+        e.e_min e.e_max (Histogram.percentile e 0.5)
+        (Histogram.percentile e 0.95)
+        (Histogram.percentile e 0.99))
     (histograms reg);
   Format.fprintf ppf "@]"

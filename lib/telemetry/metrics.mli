@@ -34,35 +34,24 @@ module Histogram : sig
 
   val observe_int : t -> int -> unit
 
-  val count : t -> int
-
-  val sum : t -> float
-
-  val mean : t -> float
-  (** [nan] when empty. *)
-
-  val min_value : t -> float
-
-  val max_value : t -> float
-
-  val percentile : t -> float -> float
-  (** [percentile h p] with [p] in [0, 1]: the upper bound of the bucket
-      holding the p-quantile (an over-approximation within 2x); [nan]
-      when empty. *)
-
   type export = {
     e_count : int;
     e_sum : float;
-    e_min : float;  (** [infinity] when empty *)
-    e_max : float;  (** [neg_infinity] when empty *)
+    e_min : float;  (** [infinity] when empty or unknown *)
+    e_max : float;  (** [neg_infinity] when empty or unknown *)
     e_buckets : int array;
         (** bucket [i] counts observations in [(2^(i-1), 2^i]]; bucket 0
             everything [<= 1] *)
   }
 
   val export : t -> export
-  (** A coherent copy taken under the histogram's mutex — what the
-      snapshot ring and the OpenMetrics exporter read. *)
+  (** A coherent copy taken under the histogram's mutex — what
+      snapshots, the OpenMetrics exporter and {!pp_summary} read. *)
+
+  val percentile : export -> float -> float
+  (** [percentile e p] with [p] in [0, 1]: the upper bound of the bucket
+      holding the p-quantile (an over-approximation within 2x), clamped
+      into [[e_min, e_max]] when [e_min <= e_max]; [nan] when empty. *)
 end
 
 module Gauge : sig
@@ -112,27 +101,13 @@ val counters : registry -> Counter.t list
 (** Sorted by name. *)
 
 val histograms : registry -> Histogram.t list
+(** Sorted by name. *)
 
 val gauges : registry -> Gauge.t list
-
-type sample = {
-  sample_s : float;  (** [Unix.gettimeofday] at the snapshot *)
-  sample_label : string;  (** e.g. ["round 2"] *)
-  sample_counters : (string * int) list;  (** all counters, name-sorted *)
-}
-(** A timestamped snapshot of every counter value — what lets the
-    Perfetto export render counter tracks that progress over the run
-    instead of a single end-of-run value. *)
-
-val sample : ?registry:registry -> label:string -> unit -> unit
-(** Snapshot all counters now.  The orchestrator calls this once per
-    inference round when telemetry is enabled. *)
-
-val samples : ?registry:registry -> unit -> sample list
-(** All snapshots in chronological order. *)
+(** Sorted by name. *)
 
 val reset : registry -> unit
-(** Drop every counter, gauge, histogram, and sample (bench reruns). *)
+(** Drop every counter, gauge, and histogram (bench reruns). *)
 
 val pp_summary : Format.formatter -> registry -> unit
 (** Text summary: one line per counter, one per histogram with

@@ -97,25 +97,25 @@ let of_point (p : Snapshot.point) =
       Printf.bprintf b "%s %d\n" name v)
     p.p_gauges;
   List.iter
-    (fun (raw, (h : Snapshot.hist_summary)) ->
+    (fun (raw, (h : Metrics.Histogram.export)) ->
       let name = mangle raw in
       header name MHistogram raw;
       (* Cumulative buckets up to the highest populated one; bucket i's
          upper bound is 2^i (bucket 0 covers everything <= 1).  The
          final +Inf bucket always equals the count. *)
       let last = ref (-1) in
-      Array.iteri (fun i n -> if n > 0 then last := i) h.h_buckets;
+      Array.iteri (fun i n -> if n > 0 then last := i) h.e_buckets;
       let cum = ref 0 in
       for i = 0 to !last do
-        cum := !cum + h.h_buckets.(i);
+        cum := !cum + h.e_buckets.(i);
         let le =
           if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
         in
         Printf.bprintf b "%s_bucket{le=\"%s\"} %d\n" name (float_str le) !cum
       done;
-      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name h.h_count;
-      Printf.bprintf b "%s_sum %s\n" name (float_str h.h_sum);
-      Printf.bprintf b "%s_count %d\n" name h.h_count)
+      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name h.e_count;
+      Printf.bprintf b "%s_sum %s\n" name (float_str h.e_sum);
+      Printf.bprintf b "%s_count %d\n" name h.e_count)
     p.p_hists;
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
@@ -124,8 +124,7 @@ let to_string ?registry () =
   let registry =
     match registry with Some r -> r | None -> Metrics.default
   in
-  let ring = Snapshot.create ~capacity:1 ~registry () in
-  of_point (Snapshot.take ~label:"export" ring)
+  of_point (Snapshot.take ~label:"export" (Snapshot.create ~registry ()))
 
 (* Atomic rewrite: scrape-friendly — an external reader tailing the
    path never observes a half-written exposition.  The temp file sits in
@@ -320,3 +319,67 @@ let parse_file path =
     let s = really_input_string ic n in
     close_in ic;
     parse s
+
+(* The inverse of [of_point] over a parsed exposition.  The raw registry
+   name round-trips through the HELP text the exporter writes
+   ("SherLock metric <raw>"); histogram buckets de-cumulate from the
+   le-labelled series. *)
+let to_point families =
+  let ts_name = "sherlock_snapshot_timestamp_seconds" in
+  let seq_name = "sherlock_snapshot_seq" in
+  let help_prefix = "SherLock metric " in
+  let raw_name f =
+    match f.f_help with
+    | Some h when String.starts_with ~prefix:help_prefix h ->
+      String.sub h (String.length help_prefix)
+        (String.length h - String.length help_prefix)
+    | _ -> f.f_name
+  in
+  let first f = match f.f_samples with s :: _ -> Some s.s_value | [] -> None in
+  let hist f =
+    let buckets = Array.make 63 0 in
+    let sum = ref 0.0 and count = ref 0 and cums = ref [] in
+    List.iter
+      (fun s ->
+        if String.ends_with ~suffix:"_bucket" s.s_series then begin
+          match Option.bind (List.assoc_opt "le" s.s_labels) float_of_string_opt with
+          | Some le when le < infinity ->
+            let i = if le <= 1.0 then 0 else int_of_float (Float.round (Float.log2 le)) in
+            if i >= 0 && i < Array.length buckets then
+              cums := (i, int_of_float s.s_value) :: !cums
+          | _ -> ()
+        end
+        else if String.ends_with ~suffix:"_sum" s.s_series then sum := s.s_value
+        else if String.ends_with ~suffix:"_count" s.s_series then
+          count := int_of_float s.s_value)
+      f.f_samples;
+    ignore
+      (List.fold_left
+         (fun prev (i, cum) ->
+           buckets.(i) <- cum - prev;
+           cum)
+         0 (List.sort compare !cums));
+    (* The exposition carries no exact min/max. *)
+    { Metrics.Histogram.e_count = !count; e_sum = !sum; e_min = infinity;
+      e_max = neg_infinity; e_buckets = buckets }
+  in
+  let value_of name =
+    Option.bind (List.find_opt (fun f -> f.f_name = name) families) first
+  in
+  let typed t conv =
+    List.filter_map
+      (fun f ->
+        if f.f_type <> t || List.mem f.f_name [ ts_name; seq_name ] then None
+        else Option.map (fun v -> (raw_name f, v)) (conv f))
+      families
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let int f = Option.map int_of_float (first f) in
+  {
+    Snapshot.p_seq = Option.fold ~none:0 ~some:int_of_float (value_of seq_name);
+    p_ts = Option.value ~default:0.0 (value_of ts_name);
+    p_label = "file";
+    p_counters = typed MCounter int;
+    p_gauges = typed MGauge int;
+    p_hists = typed MHistogram (fun f -> Some (hist f));
+  }

@@ -60,3 +60,9 @@ val parse : string -> (family list, string) result
     [_count]) attach to their declared base family. *)
 
 val parse_file : string -> (family list, string) result
+
+val to_point : family list -> Snapshot.point
+(** The inverse of {!of_point} over {!parse}'s result, labelled
+    ["file"]: counters, gauges, and histogram counts, sums and buckets
+    come back; histogram min and max are not in the exposition, so they
+    read [infinity] and [neg_infinity]. *)

@@ -1,11 +1,5 @@
 module Json = Sherlock_provenance.Json
 
-type arg = Span.value =
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | Str of string
-
 type ph =
   | Complete of int
   | Instant
@@ -21,7 +15,7 @@ type event = {
   ts : int;
   pid : int;
   tid : int;
-  args : (string * arg) list;
+  args : (string * Span.value) list;
 }
 
 let complete ?(cat = "") ?(args = []) ~name ~ts ~dur ~pid ~tid () =
@@ -31,7 +25,7 @@ let instant ?(cat = "") ?(args = []) ~name ~ts ~pid ~tid () =
   { name; cat; ph = Instant; ts; pid; tid; args }
 
 let counter ?(cat = "counter") ~name ~ts ~pid ~value () =
-  { name; cat; ph = Counter; ts; pid; tid = 0; args = [ ("value", Int value) ] }
+  { name; cat; ph = Counter; ts; pid; tid = 0; args = [ ("value", Span.Int value) ] }
 
 let flow_start ?(cat = "flow") ?(name = "flow") ~id ~ts ~pid ~tid () =
   { name; cat; ph = Flow_start id; ts; pid; tid; args = [] }
@@ -47,7 +41,7 @@ let process_name ~pid name =
     ts = 0;
     pid;
     tid = 0;
-    args = [ ("name", Str name) ];
+    args = [ ("name", Span.Str name) ];
   }
 
 let thread_name ~pid ~tid name =
@@ -58,7 +52,7 @@ let thread_name ~pid ~tid name =
     ts = 0;
     pid;
     tid;
-    args = [ ("name", Str name) ];
+    args = [ ("name", Span.Str name) ];
   }
 
 let thread_sort_index ~pid ~tid index =
@@ -69,7 +63,7 @@ let thread_sort_index ~pid ~tid index =
     ts = 0;
     pid;
     tid;
-    args = [ ("sort_index", Int index) ];
+    args = [ ("sort_index", Span.Int index) ];
   }
 
 let prepare events =
@@ -81,77 +75,37 @@ let prepare events =
   let meta, rest = List.partition (fun e -> e.ph = Metadata) events in
   meta @ List.stable_sort (fun a b -> Int.compare a.ts b.ts) (List.map clamp rest)
 
-let add_arg buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%g" f)
-    else Json.add_string buf (string_of_float f)
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Str s -> Json.add_string buf s
-
-let add_event buf e =
-  let field name add_value =
-    Json.add_string buf name;
-    Buffer.add_char buf ':';
-    add_value ()
-  in
-  Buffer.add_char buf '{';
-  field "name" (fun () -> Json.add_string buf e.name);
-  Buffer.add_char buf ',';
-  if e.cat <> "" then begin
-    field "cat" (fun () -> Json.add_string buf e.cat);
-    Buffer.add_char buf ','
-  end;
+(* One event as a trace-event object. *)
+let to_json e =
+  let int i = Json.Num (float_of_int i) in
   let ph, extra =
     match e.ph with
-    | Complete dur -> ("X", [ ("dur", `I dur) ])
-    | Instant -> ("i", [ ("s", `S "t") ])
+    | Complete dur -> ("X", [ ("dur", int dur) ])
+    | Instant -> ("i", [ ("s", Json.Str "t") ])
     | Counter -> ("C", [])
-    | Flow_start id -> ("s", [ ("id", `I id) ])
-    | Flow_end id -> ("f", [ ("id", `I id); ("bp", `S "e") ])
+    | Flow_start id -> ("s", [ ("id", int id) ])
+    | Flow_end id -> ("f", [ ("id", int id); ("bp", Json.Str "e") ])
     | Metadata -> ("M", [])
   in
-  field "ph" (fun () -> Json.add_string buf ph);
-  Buffer.add_char buf ',';
-  List.iter
-    (fun (k, v) ->
-      field k (fun () ->
-          match v with
-          | `I i -> Buffer.add_string buf (string_of_int i)
-          | `S s -> Json.add_string buf s);
-      Buffer.add_char buf ',')
-    extra;
-  field "ts" (fun () -> Buffer.add_string buf (string_of_int e.ts));
-  Buffer.add_char buf ',';
-  field "pid" (fun () -> Buffer.add_string buf (string_of_int e.pid));
-  Buffer.add_char buf ',';
-  field "tid" (fun () -> Buffer.add_string buf (string_of_int e.tid));
-  if e.args <> [] then begin
-    Buffer.add_char buf ',';
-    field "args" (fun () ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Json.add_string buf k;
-            Buffer.add_char buf ':';
-            add_arg buf v)
-          e.args;
-        Buffer.add_char buf '}')
-  end;
-  Buffer.add_char buf '}'
+  let args =
+    if e.args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Span.json_of_value v)) e.args)) ]
+  in
+  Json.Obj
+    ((("name", Json.Str e.name)
+     :: (if e.cat = "" then [] else [ ("cat", Json.Str e.cat) ]))
+    @ (("ph", Json.Str ph) :: extra)
+    @ [ ("ts", int e.ts); ("pid", int e.pid); ("tid", int e.tid) ]
+    @ args)
 
 let to_string events =
-  let events = prepare events in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_event buf e)
-    events;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.map to_json (prepare events)));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"
 
 let write path events =
   let oc = open_out path in
@@ -168,8 +122,8 @@ let of_spans collector =
       (fun (s : Span.closed) ->
         Hashtbl.replace tracks s.track ();
         let args =
-          ("span_id", Int s.id)
-          :: (match s.parent with Some p -> [ ("parent", Int p) ] | None -> [])
+          ("span_id", Span.Int s.id)
+          :: (match s.parent with Some p -> [ ("parent", Span.Int p) ] | None -> [])
           @ s.attrs
         in
         complete ~cat:"span" ~args ~name:s.name ~ts:(us s.start_s)
@@ -185,13 +139,11 @@ let of_spans collector =
   in
   meta @ events
 
-let of_samples ~epoch samples =
+let of_points ~epoch points =
   let us t = int_of_float ((t -. epoch) *. 1e6) in
   List.concat_map
-    (fun (s : Metrics.sample) ->
-      let ts = max 0 (us s.Metrics.sample_s) in
-      instant ~cat:"sample" ~name:s.Metrics.sample_label ~ts ~pid:0 ~tid:0 ()
-      :: List.map
-           (fun (name, v) -> counter ~name ~ts ~pid:0 ~value:v ())
-           s.Metrics.sample_counters)
-    samples
+    (fun (p : Snapshot.point) ->
+      let ts = max 0 (us p.p_ts) in
+      instant ~cat:"sample" ~name:p.p_label ~ts ~pid:0 ~tid:0 ()
+      :: List.map (fun (name, v) -> counter ~name ~ts ~pid:0 ~value:v ()) p.p_counters)
+    points

@@ -12,12 +12,6 @@
     unit), which for virtual-time exports coincide with the simulator's
     own clock. *)
 
-type arg = Span.value =
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | Str of string
-
 type ph =
   | Complete of int    (** an [X] slice with its duration *)
   | Instant            (** an [i] thread-scoped marker *)
@@ -33,15 +27,15 @@ type event = {
   ts : int;   (** microseconds *)
   pid : int;
   tid : int;
-  args : (string * arg) list;
+  args : (string * Span.value) list;
 }
 
 val complete :
-  ?cat:string -> ?args:(string * arg) list ->
+  ?cat:string -> ?args:(string * Span.value) list ->
   name:string -> ts:int -> dur:int -> pid:int -> tid:int -> unit -> event
 
 val instant :
-  ?cat:string -> ?args:(string * arg) list ->
+  ?cat:string -> ?args:(string * Span.value) list ->
   name:string -> ts:int -> pid:int -> tid:int -> unit -> event
 
 val counter :
@@ -68,7 +62,9 @@ val prepare : event list -> event list
     ordering and clamping are testable. *)
 
 val to_string : event list -> string
-(** The full JSON document, [{"traceEvents": [...]}]. *)
+(** The full JSON document, [{"traceEvents": [...]}], on one line and
+    printed by {!Sherlock_provenance.Json.to_string}: a non-finite
+    float argument prints as [null]. *)
 
 val write : string -> event list -> unit
 (** Write the JSON document to a file. *)
@@ -78,9 +74,10 @@ val of_spans : Span.collector -> event list
     metadata): timestamps are microseconds since the collector's epoch,
     one [tid] per domain. *)
 
-val of_samples : epoch:float -> Metrics.sample list -> event list
-(** Counter tracks from {!Metrics.sample} snapshots: one [C] point per
-    counter per sample (so Perfetto renders each counter progressing
-    round by round rather than as a single end-of-run value), plus one
-    instant marker per sample carrying its label.  [epoch] should be the
-    span collector's so the tracks align with {!of_spans}. *)
+val of_points : epoch:float -> Snapshot.point list -> event list
+(** Counter tracks from per-round snapshots ({!Snapshot.rounds}): one
+    [C] point per counter per snapshot (so Perfetto renders each counter
+    progressing round by round rather than as a single end-of-run
+    value), plus one instant marker per snapshot carrying its label.
+    [epoch] should be the span collector's so the tracks align with
+    {!of_spans}. *)

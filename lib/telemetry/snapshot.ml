@@ -1,22 +1,12 @@
-(* The snapshot ring: rolling point-in-time captures of the full metrics
-   registry (counters, gauges, histogram summaries), retained in a
-   bounded circular buffer with rate/delta derivation between any two
-   points.  This is the live-telemetry seam: a periodic ticker (a
-   systhread on the main domain, so it adds no stop-the-world GC
-   participant) takes a snapshot every interval, an optional callback
-   per snapshot lets the CLI rewrite an OpenMetrics file for external
-   scrapers, and a SIGUSR1 request dumps on demand without stopping the
-   run. *)
+(* The metrics plane: point-in-time captures of the full metrics
+   registry (counters, gauges, histogram exports), each handed to one
+   callback — the CLI's OpenMetrics rewrite for external scrapers.  A
+   periodic ticker (a systhread on the main domain, so it adds no
+   stop-the-world GC participant) snapshots every interval, the
+   orchestrator once per round, and a SIGUSR1 request on demand without
+   stopping the run. *)
 
 module Tm = Metrics
-
-type hist_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : int array;
-}
 
 type point = {
   p_seq : int;
@@ -24,122 +14,69 @@ type point = {
   p_label : string;
   p_counters : (string * int) list;
   p_gauges : (string * int) list;
-  p_hists : (string * hist_summary) list;
+  p_hists : (string * Tm.Histogram.export) list;
 }
 
-type ring = {
+type plane = {
   registry : Tm.registry;
-  capacity : int;
   on_snapshot : (point -> unit) option;
   mutex : Mutex.t;
-  slots : point option array;
-  mutable len : int;
-  mutable head : int;  (* next write slot *)
   mutable seq : int;  (* total snapshots ever taken *)
+  mutable last_export : float;  (* capture time of the newest exported point *)
+  mutable rounds : point list;  (* reversed *)
   mutable busy_s : float;
-      (* cumulative seconds spent inside [take] — capture plus the
-         [on_snapshot] callback — the plane's direct cost, which the
-         bench stats gate divides by wall-clock *)
+      (* cumulative seconds spent capturing and in [on_snapshot] — the
+         plane's direct cost, which the bench stats gate divides by
+         wall-clock *)
 }
 
-let create ?(capacity = 64) ?(registry = Tm.default) ?on_snapshot () =
-  if capacity < 1 then invalid_arg "Snapshot.create: capacity must be >= 1";
+let create ?(registry = Tm.default) ?on_snapshot () =
   {
     registry;
-    capacity;
     on_snapshot;
     mutex = Mutex.create ();
-    slots = Array.make capacity None;
-    len = 0;
-    head = 0;
     seq = 0;
+    last_export = neg_infinity;
+    rounds = [];
     busy_s = 0.0;
   }
 
-let capacity r = r.capacity
-
-let length r =
-  Mutex.lock r.mutex;
-  let n = r.len in
-  Mutex.unlock r.mutex;
-  n
-
-let capture ~seq ~label registry =
-  let name_sorted xs = List.sort (fun (a, _) (b, _) -> String.compare a b) xs in
-  let p_counters =
-    name_sorted
-      (List.map
-         (fun c -> (Tm.Counter.name c, Tm.Counter.value c))
-         (Tm.counters registry))
+(* Reading the registry happens outside the plane's mutex: registry
+   primitives have their own synchronization. *)
+let capture ~label pl =
+  let seq =
+    Mutex.protect pl.mutex (fun () ->
+        pl.seq <- pl.seq + 1;
+        pl.seq - 1)
   in
-  let p_gauges =
-    name_sorted
-      (List.map (fun g -> (Tm.Gauge.name g, Tm.Gauge.value g)) (Tm.gauges registry))
-  in
-  let p_hists =
-    name_sorted
-      (List.map
-         (fun h ->
-           let e = Tm.Histogram.export h in
-           ( Tm.Histogram.name h,
-             {
-               h_count = e.Tm.Histogram.e_count;
-               h_sum = e.Tm.Histogram.e_sum;
-               h_min = e.Tm.Histogram.e_min;
-               h_max = e.Tm.Histogram.e_max;
-               h_buckets = e.Tm.Histogram.e_buckets;
-             } ))
-         (Tm.histograms registry))
-  in
-  { p_seq = seq; p_ts = Unix.gettimeofday (); p_label = label; p_counters;
-    p_gauges; p_hists }
+  (* The registry lists its primitives name-sorted. *)
+  let of_list name value xs = List.map (fun x -> (name x, value x)) xs in
+  {
+    p_seq = seq;
+    p_ts = Unix.gettimeofday ();
+    p_label = label;
+    p_counters = of_list Tm.Counter.name Tm.Counter.value (Tm.counters pl.registry);
+    p_gauges = of_list Tm.Gauge.name Tm.Gauge.value (Tm.gauges pl.registry);
+    p_hists = of_list Tm.Histogram.name Tm.Histogram.export (Tm.histograms pl.registry);
+  }
 
-let take ?(label = "") r =
+let export pl p =
+  Mutex.protect pl.mutex (fun () -> pl.last_export <- p.p_ts);
+  Option.iter (fun f -> f p) pl.on_snapshot
+
+let account pl t0 =
+  Mutex.protect pl.mutex (fun () -> pl.busy_s <- pl.busy_s +. (Unix.gettimeofday () -. t0))
+
+let take ?(label = "") pl =
   let t0 = Unix.gettimeofday () in
-  (* Reading the registry happens outside the ring mutex: registry
-     primitives have their own synchronization, and a slow histogram
-     export must not block a concurrent [points] call. *)
-  Mutex.lock r.mutex;
-  let seq = r.seq in
-  r.seq <- seq + 1;
-  Mutex.unlock r.mutex;
-  let p = capture ~seq ~label r.registry in
-  Mutex.lock r.mutex;
-  r.slots.(r.head) <- Some p;
-  r.head <- (r.head + 1) mod r.capacity;
-  if r.len < r.capacity then r.len <- r.len + 1;
-  Mutex.unlock r.mutex;
-  (match r.on_snapshot with None -> () | Some f -> f p);
-  Mutex.lock r.mutex;
-  r.busy_s <- r.busy_s +. (Unix.gettimeofday () -. t0);
-  Mutex.unlock r.mutex;
+  let p = capture ~label pl in
+  export pl p;
+  account pl t0;
   p
 
-let busy_seconds r =
-  Mutex.lock r.mutex;
-  let s = r.busy_s in
-  Mutex.unlock r.mutex;
-  s
+let busy_seconds pl = Mutex.protect pl.mutex (fun () -> pl.busy_s)
 
-let points r =
-  Mutex.lock r.mutex;
-  let acc = ref [] in
-  (* Newest is at [head - 1]; walk back [len] slots. *)
-  for k = 0 to r.len - 1 do
-    let i = (r.head - 1 - k + (2 * r.capacity)) mod r.capacity in
-    match r.slots.(i) with Some p -> acc := p :: !acc | None -> ()
-  done;
-  Mutex.unlock r.mutex;
-  !acc
-
-let latest r =
-  Mutex.lock r.mutex;
-  let p =
-    if r.len = 0 then None
-    else r.slots.((r.head - 1 + r.capacity) mod r.capacity)
-  in
-  Mutex.unlock r.mutex;
-  p
+let rounds pl = Mutex.protect pl.mutex (fun () -> List.rev pl.rounds)
 
 (* Per-counter difference newer - older, over the union of names: a
    counter born between the two snapshots delta-s from zero.  Counters
@@ -166,52 +103,39 @@ let counter_delta ~older ~newer =
   in
   deltas @ gone
 
-let rates ~older ~newer =
-  let dt = newer.p_ts -. older.p_ts in
-  List.map
-    (fun (n, d) -> (n, if dt > 0.0 then float_of_int d /. dt else 0.0))
-    (counter_delta ~older ~newer)
-
 (* ------------------------------------------------------------------ *)
-(* The installed plane: one process-wide ring the orchestrator / ticker
-   / SIGUSR1 paths snapshot into, mirroring [Span.set_collector]. *)
+(* The installed plane: the one the orchestrator's per-round call and
+   SIGUSR1 dumps snapshot, mirroring [Span.set_collector]. *)
 
-let current : ring option Atomic.t = Atomic.make None
+let current : plane option Atomic.t = Atomic.make None
 
-let install r = Atomic.set current (Some r)
-
-let uninstall () = Atomic.set current None
-
-let installed () = Atomic.get current
-
-let take_installed ?label () =
+(* A round's point is exported only when the last export is 100 ms old:
+   a sub-millisecond round must not cost an export (a file rewrite) per
+   round, or the plane's cost scales with round rate instead of with
+   time.  It is kept only while spans are collected, since the Perfetto
+   export beside them is the one reader of [rounds].  Racing callers can
+   at worst export one extra point. *)
+let take_round ~label () =
   match Atomic.get current with
-  | None -> None
-  | Some r -> Some (take ?label r)
-
-(* Event-driven snapshot sites (the orchestrator's per-round sample)
-   throttle on wall-clock age: a sub-millisecond round must not produce
-   a point — and an exporter rewrite — per round, or the plane's cost
-   scales with round rate instead of with time.  Racing callers can at
-   worst take one extra point. *)
-let take_installed_if_due ?(min_age_s = 0.1) ?label () =
-  match Atomic.get current with
-  | None -> None
-  | Some r ->
-    let due =
-      match latest r with
-      | None -> true
-      | Some p -> Unix.gettimeofday () -. p.p_ts >= min_age_s
-    in
-    if due then Some (take ?label r) else None
+  | None -> ()
+  | Some pl ->
+    let t0 = Unix.gettimeofday () in
+    let due = Mutex.protect pl.mutex (fun () -> t0 -. pl.last_export >= 0.1) in
+    let keep = Option.is_some (Span.current_collector ()) in
+    if due || keep then begin
+      let p = capture ~label pl in
+      if keep then Mutex.protect pl.mutex (fun () -> pl.rounds <- p :: pl.rounds);
+      if due then export pl p;
+      account pl t0
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Ticker: a single systhread (not a domain — an idle parked domain
    joins every stop-the-world minor collection, measured ~2x slowdown
    of sequential work on one core; a sleeping systhread on the main
-   domain costs nothing) that snapshots the installed ring every
-   interval and services SIGUSR1 dump requests.  Interval 0 disables
-   periodic snapshots but keeps servicing dump requests. *)
+   domain costs nothing) that snapshots the plane every interval and
+   services SIGUSR1 dump requests.  Interval 0 disables periodic
+   snapshots but keeps servicing dump requests. *)
 
 type ticker = {
   thread : Thread.t;
@@ -223,10 +147,6 @@ type ticker = {
   wake_w : Unix.file_descr;
 }
 
-let ticker_mutex = Mutex.create ()
-
-let ticker_state : ticker option ref = ref None
-
 let dump_requested = Atomic.make false
 
 (* Async-signal-safe by construction: the SIGUSR1 handler only flips
@@ -235,64 +155,44 @@ let dump_requested = Atomic.make false
    code holds. *)
 let request_dump () = Atomic.set dump_requested true
 
-let service_dump () =
-  if Atomic.get dump_requested then begin
-    Atomic.set dump_requested false;
-    ignore (take_installed ~label:"sigusr1" ())
-  end
-
 (* Napping is a [select] on the stop pipe rather than [Thread.delay]:
-   [stop_ticker] writes one byte and the nap returns immediately, so
-   stopping never waits out the remainder of a sleep.  That keeps the
-   orchestrator's per-inference start/stop cost at the price of a join,
-   not up to 50 ms of latency per call. *)
+   stopping writes one byte and the nap returns immediately, so it
+   never waits out the remainder of a sleep. *)
 let nap_interruptible wake_r seconds =
   match Unix.select [ wake_r ] [] [] seconds with
   | [], _, _ -> ()
   | _ -> ignore (Unix.read wake_r (Bytes.create 16) 0 16)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let ticker_loop stop_flag wake_r interval_ms () =
+let ticker_loop pl stop_flag wake_r interval_ms () =
   let interval_s = float_of_int interval_ms /. 1000.0 in
-  let nap =
-    if interval_ms > 0 then Float.min interval_s 0.05 else 0.05
-  in
+  let nap = if interval_ms > 0 then Float.min interval_s 0.05 else 0.05 in
   let last = ref (Unix.gettimeofday ()) in
   while not (Atomic.get stop_flag) do
     nap_interruptible wake_r nap;
-    service_dump ();
+    if Atomic.exchange dump_requested false then ignore (take ~label:"sigusr1" pl);
     if (not (Atomic.get stop_flag)) && interval_ms > 0 then begin
       let now = Unix.gettimeofday () in
       if now -. !last >= interval_s then begin
         last := now;
-        ignore (take_installed ~label:"tick" ())
+        ignore (take ~label:"tick" pl)
       end
     end
   done
 
-let stop_ticker () =
-  Mutex.lock ticker_mutex;
-  let t = !ticker_state in
-  ticker_state := None;
-  Mutex.unlock ticker_mutex;
-  match t with
-  | None -> ()
-  | Some { thread; stop_flag; wake_r; wake_w } ->
-    Atomic.set stop_flag true;
-    (try ignore (Unix.write wake_w (Bytes.make 1 '!') 0 1)
-     with Unix.Unix_error _ -> ());
-    Thread.join thread;
-    (try Unix.close wake_w with Unix.Unix_error _ -> ());
-    (try Unix.close wake_r with Unix.Unix_error _ -> ())
-
-let start_ticker ?(interval_ms = 100) () =
-  stop_ticker ();
+let start_ticker pl ~interval_ms =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let stop_flag = Atomic.make false in
-  let thread = Thread.create (ticker_loop stop_flag wake_r interval_ms) () in
-  Mutex.lock ticker_mutex;
-  ticker_state := Some { thread; stop_flag; wake_r; wake_w };
-  Mutex.unlock ticker_mutex
+  let thread = Thread.create (ticker_loop pl stop_flag wake_r interval_ms) () in
+  { thread; stop_flag; wake_r; wake_w }
+
+let stop_ticker { thread; stop_flag; wake_r; wake_w } =
+  Atomic.set stop_flag true;
+  (try ignore (Unix.write wake_w (Bytes.make 1 '!') 0 1)
+   with Unix.Unix_error _ -> ());
+  Thread.join thread;
+  (try Unix.close wake_w with Unix.Unix_error _ -> ());
+  try Unix.close wake_r with Unix.Unix_error _ -> ()
 
 let install_sigusr1 () =
   (* Windows has no SIGUSR1; degrade to "no signal dumps" silently. *)
@@ -317,3 +217,19 @@ let install_runtime_gauges ?registry () =
   g "pool.domains.live" Sherlock_util.Pool.live_domains;
   g "pool.domains.busy" Sherlock_util.Pool.busy_domains;
   g "domains.recommended" Domain.recommended_domain_count
+
+let with_plane ~interval_ms ~on_snapshot f =
+  Tm.set_enabled true;
+  install_runtime_gauges ();
+  let pl = create ~on_snapshot () in
+  Atomic.set current (Some pl);
+  install_sigusr1 ();
+  let ticker = start_ticker pl ~interval_ms in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_ticker ticker;
+      (* The last snapshot reflects the finished body, not its last tick. *)
+      ignore (take ~label:"final" pl);
+      Atomic.set current None;
+      Tm.set_enabled false)
+    (fun () -> f pl)

@@ -1,63 +1,45 @@
-(** Rolling snapshots of the metrics registry — the live-telemetry
+(** Point-in-time captures of the metrics registry — the live-telemetry
     plane.
 
-    A {!ring} retains the last N {!point}s (full captures of every
-    counter, gauge, and histogram summary), with {!counter_delta} and
-    {!rates} deriving change between any two points.  One ring can be
-    {!install}ed process-wide; the orchestrator snapshots it per round,
-    a {!start_ticker} systhread snapshots it on a fixed interval, and a
-    SIGUSR1 handler ({!install_sigusr1}) requests an on-demand dump
-    without stopping the run.  Each snapshot optionally invokes the
-    ring's [on_snapshot] callback — the seam the CLI uses to atomically
-    rewrite an OpenMetrics file for external scrapers. *)
+    A {!point} is a full capture of every counter, gauge, and histogram.
+    A {!plane} hands each point it takes to its [on_snapshot] callback
+    (the CLI atomically rewrites an OpenMetrics file for external
+    scrapers there) and keeps no history, except, while spans are
+    collected, the per-round points that Perfetto counter tracks are
+    drawn from ({!rounds}).
 
-type hist_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** [infinity] when empty *)
-  h_max : float;  (** [neg_infinity] when empty *)
-  h_buckets : int array;  (** power-of-two buckets, see {!Metrics.Histogram} *)
-}
+    {!with_plane} runs a body with one plane installed process-wide:
+    the orchestrator snapshots it once per round ({!take_round}), a
+    ticker systhread on a fixed interval, and a SIGUSR1 handler on
+    demand, without stopping the run. *)
 
 type point = {
-  p_seq : int;  (** 0-based index of this snapshot since ring creation *)
+  p_seq : int;  (** 0-based index of this snapshot since plane creation *)
   p_ts : float;  (** [Unix.gettimeofday] at capture *)
   p_label : string;  (** e.g. ["tick"], ["round 2"], ["sigusr1"] *)
   p_counters : (string * int) list;  (** name-sorted *)
   p_gauges : (string * int) list;  (** name-sorted; callbacks evaluated *)
-  p_hists : (string * hist_summary) list;  (** name-sorted *)
+  p_hists : (string * Metrics.Histogram.export) list;  (** name-sorted *)
 }
 
-type ring
+type plane
 
 val create :
-  ?capacity:int ->
-  ?registry:Metrics.registry ->
-  ?on_snapshot:(point -> unit) ->
-  unit ->
-  ring
-(** [capacity] (default 64) bounds retained points — older snapshots
-    are evicted FIFO.  [on_snapshot] runs on the snapshotting thread
-    after each {!take}, outside the ring's lock. *)
+  ?registry:Metrics.registry -> ?on_snapshot:(point -> unit) -> unit -> plane
+(** [on_snapshot] runs on the snapshotting thread after each capture,
+    outside the plane's lock. *)
 
-val capacity : ring -> int
+val take : ?label:string -> plane -> point
+(** Capture every registry primitive now, run [on_snapshot], and return
+    the point.  Safe from any domain or thread. *)
 
-val length : ring -> int
+val busy_seconds : plane -> float
+(** Cumulative wall-clock seconds spent capturing and in [on_snapshot]
+    on this plane — the plane's direct cost, which the bench stats gate
+    divides by run wall-clock. *)
 
-val take : ?label:string -> ring -> point
-(** Capture every registry primitive now, append (evicting the oldest
-    past capacity), run [on_snapshot], and return the point.  Safe from
-    any domain or thread. *)
-
-val points : ring -> point list
-(** Retained points, oldest first. *)
-
-val busy_seconds : ring -> float
-(** Cumulative wall-clock seconds spent inside {!take} on this ring —
-    registry capture plus the [on_snapshot] callback.  The plane's
-    direct cost: the bench stats gate divides it by run wall-clock. *)
-
-val latest : ring -> point option
+val rounds : plane -> point list
+(** The points {!take_round} kept on this plane, oldest first. *)
 
 val counter_delta : older:point -> newer:point -> (string * int) list
 (** Per-counter [newer - older] over the union of names (a counter born
@@ -65,50 +47,32 @@ val counter_delta : older:point -> newer:point -> (string * int) list
     surfaces as a negative delta).  Counters are monotone, so deltas
     are non-negative whenever [older] was taken before [newer]. *)
 
-val rates : older:point -> newer:point -> (string * float) list
-(** {!counter_delta} divided by the wall-clock seconds between the two
-    points; all zero if the interval is not positive. *)
-
 (** {1 The installed plane} *)
 
-val install : ring -> unit
-(** Make [ring] the process-wide snapshot target (ticker, SIGUSR1,
-    per-round orchestrator samples). *)
+val with_plane :
+  interval_ms:int -> on_snapshot:(point -> unit) -> (plane -> 'a) -> 'a
+(** [with_plane ~interval_ms ~on_snapshot f] runs [f] with the metrics
+    plane on: the {!Metrics.default} registry enabled, the runtime
+    gauges installed, a fresh plane over it installed process-wide,
+    SIGUSR1 routed to {!request_dump}, and the ticker running — a
+    snapshot labelled ["tick"] every [interval_ms] ([0]: none), and
+    dump requests serviced within ~50 ms whatever the interval.
+    Afterwards, even when [f] raises, the ticker is stopped and joined,
+    a last snapshot labelled ["final"] is taken, the plane is
+    uninstalled and the registry disabled. *)
 
-val uninstall : unit -> unit
-
-val installed : unit -> ring option
-
-val take_installed : ?label:string -> unit -> point option
-(** {!take} on the installed ring; [None] when no plane is installed. *)
-
-val take_installed_if_due : ?min_age_s:float -> ?label:string -> unit -> point option
-(** {!take_installed}, throttled: snapshots only when the installed
-    ring's newest point is at least [min_age_s] (default 0.1) old, so
-    event-driven sample sites (one per orchestrator round) cost
-    wall-clock-bounded work even when rounds are sub-millisecond.
-    [None] when no plane is installed or nothing was due. *)
-
-(** {1 Ticker and signal dumps} *)
-
-val start_ticker : ?interval_ms:int -> unit -> unit
-(** Start (or restart) the single process-wide ticker systhread: every
-    [interval_ms] (default 100) it snapshots the installed ring, and it
-    services {!request_dump} requests within ~50 ms.  [interval_ms = 0]
-    disables periodic snapshots but keeps servicing dump requests.  A
-    systhread, not a domain: it shares the main domain, so it adds no
-    stop-the-world GC participant. *)
-
-val stop_ticker : unit -> unit
-(** Stop and join the ticker; idempotent. *)
+val take_round : label:string -> unit -> unit
+(** The orchestrator's per-round snapshot of the installed plane (a
+    no-op when none is).  The point is passed to [on_snapshot] only when
+    the plane's last exported point is at least 100 ms old, so an
+    exporter's cost scales with time, not with round rate; it is kept
+    for {!rounds} whenever a span collector is installed
+    ({!Span.set_collector}), since Perfetto counter tracks accompany
+    spans. *)
 
 val request_dump : unit -> unit
-(** Ask the ticker to snapshot the installed ring as [label "sigusr1"].
+(** Ask the ticker to snapshot the installed plane as [label "sigusr1"].
     Only flips an atomic, hence safe from a signal handler. *)
-
-val install_sigusr1 : unit -> unit
-(** Route SIGUSR1 to {!request_dump} (no-op where the signal does not
-    exist). *)
 
 (** {1 Runtime gauges} *)
 

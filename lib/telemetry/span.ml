@@ -4,6 +4,12 @@ type value =
   | Bool of bool
   | Str of string
 
+let json_of_value : value -> Sherlock_provenance.Json.t = function
+  | Int i -> Num (float_of_int i)
+  | Float f -> Num f
+  | Bool b -> Bool b
+  | Str s -> Str s
+
 type closed = {
   id : int;
   parent : int option;

@@ -17,6 +17,12 @@ type value =
   | Float of float
   | Bool of bool
   | Str of string
+(** An attribute value: of a span, a Perfetto event, or a structured
+    log line. *)
+
+val json_of_value : value -> Sherlock_provenance.Json.t
+(** The one JSON spelling of an attribute, shared by the Perfetto and
+    log writers: a non-finite [Float] prints as [null]. *)
 
 type closed = {
   id : int;             (** unique within the collector *)

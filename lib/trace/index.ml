@@ -131,7 +131,7 @@ let build_sparse (events : Event.t array) =
     accesses;
   }
 
-(* The dense builds below use plain-array counters and cursors, for logs
+(* The dense build below uses plain-array counters and cursors, for logs
    whose tids and addresses are dense small ints.  The hashtable probes
    of [build_sparse] dominate index construction (~200 ns/event measured
    on the stress log), which caps binary-trace ingest; here the
@@ -140,8 +140,8 @@ let build_sparse (events : Event.t array) =
    are still populated, but once per thread/address instead of per
    event. *)
 
-(* Allocation + fill from precomputed per-key counts: the shared second
-   half of the dense builds.  [tcount]/[dcount] must bound every tid in
+(* Allocation + fill from precomputed per-key counts: the second
+   half of the dense build.  [tcount]/[dcount] must bound every tid in
    [events] (lengths >= nt), [acount] every access target (length >= na),
    and the counts must be exact — the per-thread / per-address arrays are
    sized from them, so the cursor-driven writes below are in bounds by
@@ -210,39 +210,11 @@ let fill_dense (events : Event.t array) ~nt ~na ~tcount ~dcount ~acount
     accesses;
   }
 
-let build_dense (events : Event.t array) ~max_tid ~max_addr =
-  let n = Array.length events in
-  let nt = max_tid + 1 and na = max_addr + 1 in
-  let tcount = Array.make nt 0 in
-  let dcount = Array.make nt 0 in
-  let acount = Array.make na 0 in
-  let addr_order = ref [] in
-  let distinct = ref 0 in
-  (* The caller has verified every tid is in [0, max_tid] and every
-     access target in [0, max_addr] (see the dispatching [build]), so
-     the counter indexing is in bounds by construction. *)
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get events i in
-    Array.unsafe_set tcount e.tid (Array.unsafe_get tcount e.tid + 1);
-    if e.delayed_by > 0 then
-      Array.unsafe_set dcount e.tid (Array.unsafe_get dcount e.tid + 1);
-    if (match e.op.kind with Opid.Read | Opid.Write -> true | _ -> false)
-    then begin
-      if Array.unsafe_get acount e.target = 0 then begin
-        addr_order := e.target :: !addr_order;
-        incr distinct
-      end;
-      Array.unsafe_set acount e.target (Array.unsafe_get acount e.target + 1)
-    end
-  done;
-  fill_dense events ~nt ~na ~tcount ~dcount ~acount
-    ~addr_order_rev:!addr_order ~distinct:!distinct
-
-(* Incremental front half of the dense build, for deserializers: they
-   call [note] once per event from inside their decode loop, so the
-   counting pass above happens for free while the event records are
-   being materialized, and [finish] only runs the fill.  One full scan
-   of the (cache-cold, multi-MB) record array less than [build]. *)
+(* The counting front half of the dense build, one [note] per event.
+   [build] feeds it in its own pass; deserializers call [note] from
+   inside their decode loop, so counting happens while the event records
+   are being materialized and [finish] only runs the fill — one full
+   scan of the (cache-cold, multi-MB) record array less. *)
 module Dense_builder = struct
   type t = {
     limit : int;
@@ -259,9 +231,9 @@ module Dense_builder = struct
   let create ~events:n =
     {
       limit = (4 * n) + 1024;
-      tcount = Array.make 64 0;
-      dcount = Array.make 64 0;
-      acount = Array.make 1024 0;
+      tcount = Array.make 16 0;
+      dcount = Array.make 16 0;
+      acount = Array.make 16 0;
       addr_order_rev = [];
       distinct = 0;
       max_tid = -1;
@@ -316,20 +288,15 @@ end
    counter, so real logs always take the dense path; the sparse path
    covers synthetic or foreign logs with arbitrary ids. *)
 let build (events : Event.t array) =
-  let n = Array.length events in
-  let limit = (4 * n) + 1024 in
-  let max_tid = ref (-1) and max_addr = ref (-1) in
-  let dense = ref true in
-  for i = 0 to n - 1 do
-    let e = Array.unsafe_get events i in
-    if e.tid < 0 || e.tid > limit then dense := false
-    else if e.tid > !max_tid then max_tid := e.tid;
-    if Opid.is_access e.op then
-      if e.target < 0 || e.target > limit then dense := false
-      else if e.target > !max_addr then max_addr := e.target
-  done;
-  if !dense then build_dense events ~max_tid:!max_tid ~max_addr:!max_addr
-  else build_sparse events
+  let b = Dense_builder.create ~events:(Array.length events) in
+  Array.iter
+    (fun (e : Event.t) ->
+      Dense_builder.note b ~tid:e.tid ~target:e.target ~delayed:(e.delayed_by > 0)
+        ~is_access:(Opid.is_access e.op))
+    events;
+  match Dense_builder.finish b events with
+  | Some t -> t
+  | None -> build_sparse events
 
 let thread t tid =
   match Hashtbl.find_opt t.threads tid with

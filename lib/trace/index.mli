@@ -26,25 +26,17 @@ type per_thread = {
 type t
 
 val build : Event.t array -> t
-(** [build events] indexes a time-sorted event array.  Dispatches to a
-    dense array-counter build when tids and access targets are small
-    non-negative ints (the simulator's id allocator guarantees this), and
-    to a generic hashtable build otherwise. *)
+(** [build events] indexes a time-sorted event array: through
+    {!Dense_builder} when tids and access targets are small non-negative
+    ints (the simulator's id allocator guarantees this), and a generic
+    hashtable build otherwise. *)
 
-val build_dense : Event.t array -> max_tid:int -> max_addr:int -> t
-(** The dense build directly, for callers that already scanned the
-    array: every [tid] must lie in [0, max_tid] and every access target
-    in [0, max_addr] — violations are undefined behaviour (the build
-    indexes plain arrays with those bounds, unchecked).  Use {!build}
-    unless the bounds are certain. *)
-
-(** Incremental dense build for deserializers: call {!Dense_builder.note}
-    once per event from inside the decode loop (in event order), then
-    {!Dense_builder.finish} on the decoded array.  This folds the
-    counting pass of {!build} into the decode loop, leaving only the
-    fill pass — one full scan of the record array less.  [finish]
-    returns [None] when the events fall outside the dense-id regime
-    (caller falls back to {!build}). *)
+(** Incremental dense build: call {!Dense_builder.note} once per event
+    (in event order), then {!Dense_builder.finish} on the array.
+    Deserializers call [note] from inside their decode loop, which folds
+    the counting pass into the decode and leaves only the fill pass.
+    [finish] returns [None] when the events fall outside the dense-id
+    regime (caller falls back to {!build}). *)
 module Dense_builder : sig
   type index := t
 

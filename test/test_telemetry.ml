@@ -109,16 +109,22 @@ let test_counter () =
 let test_histogram () =
   let r = Tm.create () in
   let h = Tm.histogram ~registry:r "h" in
-  check Alcotest.bool "empty mean is nan" true (Float.is_nan (Tm.Histogram.mean h));
+  check Alcotest.bool "empty percentile is nan" true
+    (Float.is_nan (Tm.Histogram.percentile (Tm.Histogram.export h) 0.5));
   List.iter (fun v -> Tm.Histogram.observe_int h v) [ 1; 2; 4; 100; 1000 ];
-  check Alcotest.int "count" 5 (Tm.Histogram.count h);
-  check (Alcotest.float 1e-9) "sum" 1107.0 (Tm.Histogram.sum h);
-  check (Alcotest.float 1e-9) "min" 1.0 (Tm.Histogram.min_value h);
-  check (Alcotest.float 1e-9) "max" 1000.0 (Tm.Histogram.max_value h);
-  let p50 = Tm.Histogram.percentile h 0.5 in
+  let e = Tm.Histogram.export h in
+  check Alcotest.int "count" 5 e.e_count;
+  check (Alcotest.float 1e-9) "sum" 1107.0 e.e_sum;
+  check (Alcotest.float 1e-9) "min" 1.0 e.e_min;
+  check (Alcotest.float 1e-9) "max" 1000.0 e.e_max;
+  let p50 = Tm.Histogram.percentile e 0.5 in
   check Alcotest.bool "p50 within range" true (p50 >= 1.0 && p50 <= 1000.0);
-  check Alcotest.bool "p100 clamps to max" true
-    (Tm.Histogram.percentile h 1.0 <= 1000.0)
+  check Alcotest.bool "p100 clamps to max" true (Tm.Histogram.percentile e 1.0 <= 1000.0);
+  (* without a known range (an export decoded from an exposition) the
+     bucket bound is not clamped *)
+  let unknown = { e with e_min = infinity; e_max = neg_infinity } in
+  check (Alcotest.float 1e-9) "p100 is the bucket bound" 1024.0
+    (Tm.Histogram.percentile unknown 1.0)
 
 let test_registry_listing () =
   let r = Tm.create () in
@@ -151,7 +157,7 @@ let test_trace_metrics_bridge () =
   check Alcotest.int "windows" 3 (counter "trace.windows");
   check Alcotest.int "races" 2 (counter "trace.races");
   let h = Tm.histogram ~registry:r "trace.run_s" in
-  check Alcotest.int "run_s observed" 1 (Tm.Histogram.count h)
+  check Alcotest.int "run_s observed" 1 (Tm.Histogram.export h).e_count
 
 (* --- gauges --- *)
 
@@ -178,18 +184,18 @@ let test_gauge () =
   Tm.reset r;
   check Alcotest.int "reset drops gauges" 0 (List.length (Tm.gauges r))
 
-(* --- snapshot ring --- *)
+(* --- snapshot plane --- *)
 
-let test_snapshot_ring () =
+let test_snapshot_capture () =
   let r = Tm.create () in
   let c = Tm.counter ~registry:r "c" in
   let g = Tm.gauge ~registry:r "g" in
   let h = Tm.histogram ~registry:r "h" in
-  let ring = Snapshot.create ~capacity:2 ~registry:r () in
+  let plane = Snapshot.create ~registry:r () in
   Tm.Counter.incr ~by:5 c;
   Tm.Gauge.set g 3;
   Tm.Histogram.observe_int h 10;
-  let p0 = Snapshot.take ~label:"first" ring in
+  let p0 = Snapshot.take ~label:"first" plane in
   check Alcotest.int "seq starts at 0" 0 p0.Snapshot.p_seq;
   check
     Alcotest.(list (pair string int))
@@ -199,87 +205,71 @@ let test_snapshot_ring () =
     "gauges captured" [ ("g", 3) ] p0.Snapshot.p_gauges;
   (match p0.Snapshot.p_hists with
   | [ ("h", s) ] ->
-    check Alcotest.int "hist count" 1 s.Snapshot.h_count;
-    check (Alcotest.float 1e-9) "hist sum" 10.0 s.Snapshot.h_sum
+    check Alcotest.int "hist count" 1 s.e_count;
+    check (Alcotest.float 1e-9) "hist sum" 10.0 s.e_sum
   | _ -> Alcotest.fail "one histogram expected");
   Tm.Counter.incr ~by:7 c;
-  ignore (Snapshot.take ring);
+  ignore (Snapshot.take plane);
   Tm.Counter.incr (Tm.counter ~registry:r "born");
-  let p2 = Snapshot.take ~label:"last" ring in
-  (* capacity 2: the first point has been evicted *)
-  check Alcotest.int "length capped" 2 (Snapshot.length ring);
-  (match Snapshot.points ring with
-  | [ a; b ] ->
-    check Alcotest.int "oldest retained is #1" 1 a.Snapshot.p_seq;
-    check Alcotest.int "newest is #2" 2 b.Snapshot.p_seq
-  | _ -> Alcotest.fail "two points expected");
-  (match Snapshot.latest ring with
-  | Some p -> check Alcotest.string "latest label" "last" p.Snapshot.p_label
-  | None -> Alcotest.fail "latest missing");
+  let p2 = Snapshot.take ~label:"last" plane in
+  check Alcotest.int "seq counts every snapshot" 2 p2.Snapshot.p_seq;
   let deltas = Snapshot.counter_delta ~older:p0 ~newer:p2 in
   check Alcotest.(option int) "existing counter delta" (Some 7)
     (List.assoc_opt "c" deltas);
   check Alcotest.(option int) "born counter deltas from 0" (Some 1)
     (List.assoc_opt "born" deltas);
-  List.iter
-    (fun (n, rate) ->
-      check Alcotest.bool (n ^ " rate non-negative") true (rate >= 0.0))
-    (Snapshot.rates ~older:p0 ~newer:p2);
   check Alcotest.bool "busy_seconds accumulated" true
-    (Snapshot.busy_seconds ring > 0.0)
+    (Snapshot.busy_seconds plane > 0.0)
+
+(* Labels seen by a plane's exporter, oldest first. *)
+let recording () =
+  let seen = ref [] in
+  let m = Mutex.create () in
+  ( (fun (p : Snapshot.point) ->
+      Mutex.protect m (fun () -> seen := p.p_label :: !seen)),
+    fun () -> Mutex.protect m (fun () -> List.rev !seen) )
 
 let test_snapshot_callback_and_install () =
-  let r = Tm.create () in
-  ignore (Tm.counter ~registry:r "c");
-  let seen = ref [] in
-  let ring =
-    Snapshot.create ~registry:r
-      ~on_snapshot:(fun p -> seen := p.Snapshot.p_label :: !seen)
-      ()
+  let export, seen = recording () in
+  let labels plane =
+    List.map (fun (p : Snapshot.point) -> p.p_label) (Snapshot.rounds plane)
   in
-  Snapshot.install ring;
-  Fun.protect ~finally:Snapshot.uninstall @@ fun () ->
-  check Alcotest.bool "installed" true (Snapshot.installed () <> None);
-  (match Snapshot.take_installed ~label:"via-plane" () with
-  | Some p -> check Alcotest.string "label" "via-plane" p.Snapshot.p_label
-  | None -> Alcotest.fail "installed ring did not snapshot");
-  check Alcotest.(list string) "callback saw the snapshot" [ "via-plane" ] !seen;
-  Snapshot.uninstall ();
-  check Alcotest.bool "uninstalled" true (Snapshot.take_installed () = None)
+  Snapshot.with_plane ~interval_ms:0 ~on_snapshot:export (fun plane ->
+      check Alcotest.bool "registry enabled" true (Tm.enabled ());
+      Snapshot.take_round ~label:"round 1" ();
+      check Alcotest.(list string) "no collector, no rounds kept" [] (labels plane);
+      (* a second round inside 100 ms is kept but not exported *)
+      with_collector (fun _ -> Snapshot.take_round ~label:"round 2" ());
+      check Alcotest.(list string) "exporter saw the first round" [ "round 1" ] (seen ());
+      check Alcotest.(list string) "rounds kept under spans" [ "round 2" ] (labels plane));
+  check Alcotest.(list string) "final snapshot on exit" [ "round 1"; "final" ] (seen ());
+  check Alcotest.bool "registry disabled" false (Tm.enabled ());
+  (* no plane installed: the per-round call is a no-op *)
+  Snapshot.take_round ~label:"round 3" ();
+  check Alcotest.int "uninstalled" 2 (List.length (seen ()))
+
+(* Wait up to 2 s for [n] (default 1) points labelled [label] to reach
+   the exporter. *)
+let await ?(n = 1) seen label =
+  let count () = List.length (List.filter (( = ) label) (seen ())) in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while count () < n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  count () >= n
 
 let test_snapshot_ticker_and_dump () =
-  let r = Tm.create () in
-  ignore (Tm.counter ~registry:r "c");
-  let ring = Snapshot.create ~registry:r () in
-  Snapshot.install ring;
-  Fun.protect
-    ~finally:(fun () ->
-      Snapshot.stop_ticker ();
-      Snapshot.uninstall ())
-  @@ fun () ->
-  Snapshot.start_ticker ~interval_ms:10 ();
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  while Snapshot.length ring = 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  check Alcotest.bool "ticker snapshots" true (Snapshot.length ring > 0);
-  (* an on-demand dump is serviced even with periodic snapshots off *)
-  Snapshot.stop_ticker ();
-  Snapshot.start_ticker ~interval_ms:0 ();
-  Snapshot.request_dump ();
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  let has_dump () =
-    List.exists
-      (fun (p : Snapshot.point) -> p.p_label = "sigusr1")
-      (Snapshot.points ring)
-  in
-  while (not (has_dump ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  check Alcotest.bool "dump request serviced" true (has_dump ());
-  Snapshot.stop_ticker ();
-  (* stop is idempotent *)
-  Snapshot.stop_ticker ()
+  let export, seen = recording () in
+  Snapshot.with_plane ~interval_ms:10 ~on_snapshot:export (fun _ ->
+      check Alcotest.bool "ticker snapshots" true (await seen "tick"));
+  (* with periodic snapshots off, a SIGUSR1 still reaches the exporter *)
+  let export, seen = recording () in
+  Snapshot.with_plane ~interval_ms:0 ~on_snapshot:export (fun _ ->
+      Unix.kill (Unix.getpid ()) Sys.sigusr1;
+      check Alcotest.bool "SIGUSR1 dump serviced" true (await seen "sigusr1");
+      Snapshot.request_dump ();
+      check Alcotest.bool "requested dump serviced" true (await ~n:2 seen "sigusr1"));
+  check Alcotest.bool "no ticks at interval 0" false (List.mem "tick" (seen ()))
 
 let test_runtime_gauges () =
   let r = Tm.create () in
@@ -307,9 +297,9 @@ let prop_snapshot_concurrent_monotone =
     (fun (ndomains, increments) ->
       let r = Tm.create () in
       let names = [| "a"; "b"; "c" |] in
-      let ring = Snapshot.create ~capacity:64 ~registry:r () in
+      let plane = Snapshot.create ~registry:r () in
       Array.iter (fun n -> ignore (Tm.counter ~registry:r n)) names;
-      let p0 = Snapshot.take ring in
+      let p0 = Snapshot.take plane in
       let workers =
         Array.init ndomains (fun d ->
             Domain.spawn (fun () ->
@@ -319,13 +309,15 @@ let prop_snapshot_concurrent_monotone =
                 done))
       in
       (* sample concurrently with the writers *)
-      for _ = 1 to 10 do
-        ignore (Snapshot.take ring);
-        Domain.cpu_relax ()
-      done;
+      let during =
+        List.init 10 (fun _ ->
+            let p = Snapshot.take plane in
+            Domain.cpu_relax ();
+            p)
+      in
       Array.iter Domain.join workers;
-      let final = Snapshot.take ring in
-      let points = Snapshot.points ring in
+      let final = Snapshot.take plane in
+      let points = (p0 :: during) @ [ final ] in
       let rec consecutive_ok = function
         | a :: (b :: _ as rest) ->
           List.for_all (fun (_, d) -> d >= 0) (Snapshot.counter_delta ~older:a ~newer:b)
@@ -423,7 +415,25 @@ let test_openmetrics_roundtrip () =
       | _ -> true
     in
     check Alcotest.bool "buckets cumulative" true
-      (cumulative (List.sort compare le_values))
+      (cumulative (List.sort compare le_values));
+    (* to_point inverts of_point on everything the exposition carries *)
+    let p = Snapshot.take (Snapshot.create ~registry:r ()) in
+    match Openmetrics.parse (Openmetrics.of_point p) with
+    | Error msg -> Alcotest.failf "snapshot exposition rejected: %s" msg
+    | Ok families ->
+      let q = Openmetrics.to_point families in
+      check Alcotest.int "seq" p.p_seq q.p_seq;
+      check
+        Alcotest.(list (pair string int))
+        "counters" p.p_counters q.p_counters;
+      check Alcotest.(list (pair string int)) "gauges" p.p_gauges q.p_gauges;
+      let shape (name, (e : Tm.Histogram.export)) =
+        (name, (e.e_count, e.e_sum, Array.to_list e.e_buckets))
+      in
+      check
+        Alcotest.(list (pair string (triple int (float 1e-9) (list int))))
+        "histogram counts, sums and buckets"
+        (List.map shape p.p_hists) (List.map shape q.p_hists)
 
 let test_openmetrics_atomic_write_and_parse_file () =
   let r = Tm.create () in
@@ -462,12 +472,12 @@ let test_log_jsonl () =
   check Alcotest.bool "enabled with sink" true (Tlog.enabled Tlog.Info);
   Tlog.warn "orch.run.failed"
     [
-      ("test", Tlog.Str "quote\"and\nnewline");
-      ("ctl", Tlog.Str "soh\001");
-      ("attempt", Tlog.Int 2);
-      ("ratio", Tlog.Float 0.5);
-      ("bad", Tlog.Float nan);
-      ("flag", Tlog.Bool true);
+      ("test", Span.Str "quote\"and\nnewline");
+      ("ctl", Span.Str "soh\001");
+      ("attempt", Span.Int 2);
+      ("ratio", Span.Float 0.5);
+      ("bad", Span.Float nan);
+      ("flag", Span.Bool true);
     ];
   (match !lines with
   | [ line ] ->
@@ -479,7 +489,9 @@ let test_log_jsonl () =
     check Alcotest.bool "int field" true (contains line {|"attempt":2|});
     check Alcotest.bool "nan is null" true (contains line {|"bad":null|});
     check Alcotest.bool "bool field" true (contains line {|"flag":true|});
-    check Alcotest.bool "domain field" true (contains line {|"domain":|})
+    check Alcotest.bool "domain field" true (contains line {|"domain":|});
+    check Alcotest.bool "parses as JSON" true
+      (Result.is_ok (Sherlock_provenance.Json.of_string line))
   | l -> Alcotest.failf "expected one line, got %d" (List.length l));
   (* threshold filters *)
   lines := [];
@@ -494,7 +506,7 @@ let test_log_no_sink_is_noop () =
   Tlog.set_writer None;
   check Alcotest.bool "disabled without sink" false (Tlog.enabled Tlog.Error);
   (* must not raise *)
-  Tlog.error "into-the-void" [ ("k", Tlog.Int 1) ]
+  Tlog.error "into-the-void" [ ("k", Span.Int 1) ]
 
 let test_log_level_parsing () =
   check Alcotest.bool "warn" true (Tlog.level_of_string "WARN" = Some Tlog.Warn);
@@ -576,7 +588,7 @@ let test_json_escaping () =
     Perfetto.to_string
       [
         Perfetto.instant ~name:"quote \" slash \\ newline \n"
-          ~args:[ ("k", Perfetto.Str "tab\t"); ("c", Perfetto.Str "soh\001") ]
+          ~args:[ ("k", Span.Str "tab\t"); ("c", Span.Str "soh\001") ]
           ~ts:1 ~pid:1 ~tid:1 ();
       ]
   in
@@ -584,7 +596,15 @@ let test_json_escaping () =
   check Alcotest.bool "backslash escaped" true (contains s {|slash \\ newline|});
   check Alcotest.bool "newline escaped" true (contains s {|newline \n|});
   check Alcotest.bool "tab escaped" true (contains s {|tab\t|});
-  check Alcotest.bool "control byte escaped" true (contains s {|soh\u0001|})
+  check Alcotest.bool "control byte escaped" true (contains s {|soh\u0001|});
+  (* one writer, one rule: a non-finite argument prints as null *)
+  let s =
+    Perfetto.to_string
+      [ Perfetto.instant ~name:"n" ~args:[ ("x", Span.Float nan) ] ~ts:1 ~pid:1 ~tid:1 () ]
+  in
+  check Alcotest.bool "nan is null" true (contains s {|"x":null|});
+  check Alcotest.bool "parses as JSON" true
+    (Result.is_ok (Sherlock_provenance.Json.of_string s))
 
 (* --- virtual-time timeline --- *)
 
@@ -662,7 +682,7 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
         ] );
       ( "snapshot",
-        Alcotest.test_case "ring retention and deltas" `Quick test_snapshot_ring
+        Alcotest.test_case "capture and deltas" `Quick test_snapshot_capture
         :: Alcotest.test_case "callback and installed plane" `Quick
              test_snapshot_callback_and_install
         :: Alcotest.test_case "ticker and dump requests" `Quick

@@ -3,7 +3,8 @@
 # --metrics-out/--log-out, then check that
 #   (a) the OpenMetrics file parses under the strict parser (`stats
 #       --from` fails on any malformed exposition) and carries the
-#       expected counter / gauge / histogram families,
+#       expected counter / gauge / histogram families, also with the
+#       ticker off (--metrics-interval 0),
 #   (b) the structured log is one JSON object per line and contains the
 #       per-round orchestrator events, and
 #   (c) `sherlock stats` renders a console summary both from the file
@@ -45,6 +46,18 @@ for family in \
 done
 grep -q '_bucket{le="+Inf"}' "$d/metrics.om" || {
   echo "smoke_stats: no histogram buckets in exposition" >&2
+  exit 1
+}
+
+# --- no ticker: per-round and final snapshots still export ---
+"$cli" run -a App-2 --rounds 2 --metrics-interval 0 \
+  --metrics-out "$d/metrics0.om" >/dev/null
+"$cli" stats --from "$d/metrics0.om" >/dev/null || {
+  echo "smoke_stats: --metrics-interval 0 exposition does not parse" >&2
+  exit 1
+}
+test "$(tail -n 1 "$d/metrics0.om")" = "# EOF" || {
+  echo "smoke_stats: --metrics-interval 0 exposition does not end in # EOF" >&2
   exit 1
 }
 
