@@ -965,17 +965,106 @@ let extract_scaling () =
         Gate.within ~limit:1.5 ratios );
     ] )
 
+(* LP scaling gate: the stateless [Encoder.solve] (a cold solve on a
+   fresh state, the solve-trace path) on Synth logs of 600, 1200, 2400
+   and 4800 events (40 addresses, 8 threads, seeds 1 and 2), windows
+   extracted once outside the timing.  5 interleaved trials of every
+   (size, seed) solve, calibrated.  Per size it records the median
+   solve time over both seeds and trials, pivots and refactors summed
+   over the seeds, and µs per pivot; the 4800/600 µs-per-pivot ratio is
+   recorded against the 3x target but not gated.  Gated: at 4800 events
+   refactorizations stay at or under a tenth of the pivots (the
+   eta-fill rule used to fire every ~7 pivots there, against an
+   interval of 64), and the calibrated solve time (mean of the two
+   seeds per trial, lower quartile over trials) stays within 0.6x of
+   the checked-in [solve_4800_s]. *)
+let lp_scaling () =
+  Gate.run ~section:"lp_scaling" ~title:"LP scaling: cold solves of Synth logs"
+  @@ fun () ->
+  let sizes = [ 600; 1200; 2400; 4800 ] and seeds = [ 1; 2 ] in
+  let config = Config.default in
+  let cases =
+    List.concat_map
+      (fun events ->
+        List.map
+          (fun seed ->
+            let log = Sherlock_trace.Synth.log ~seed ~addrs:40 ~threads:8 ~events () in
+            let obs = Observations.create () in
+            Observations.add_log obs ~near:config.near ~cap:config.window_cap
+              ~refine:config.use_refinement log;
+            (events, obs, ref None))
+          seeds)
+      sizes
+  in
+  let times =
+    Gate.interleave ~k:5
+      (List.map
+         (fun (_, obs, lp) () ->
+           Gate.calibrated (fun () ->
+               let _, (st : Encoder.solve_stats) = Encoder.solve config obs in
+               lp := Some st.lp))
+         cases)
+  in
+  let runs =
+    List.map2 (fun (events, _, lp) ts -> (events, Option.get !lp, ts)) cases times
+  in
+  let at events = List.filter (fun (n, _, _) -> n = events) runs in
+  let sum f events = List.fold_left (fun acc (_, l, _) -> acc + f l) 0 (at events) in
+  let pivots = sum (fun l -> l.Encoder.lp_pivots) in
+  let refactors = sum (fun l -> l.Encoder.lp_refactors) in
+  let median_s events =
+    Gate.median (List.concat_map (fun (_, _, ts) -> ts) (at events))
+  in
+  let us_per_pivot events =
+    1e6 *. median_s events *. float (List.length seeds) /. float (max 1 (pivots events))
+  in
+  (* One sample per trial: the mean of the seeds' solves in that trial. *)
+  let per_trial_4800 =
+    match at 4800 with
+    | (_, _, first) :: rest ->
+      List.fold_left (List.map2 ( +. )) first (List.map (fun (_, _, ts) -> ts) rest)
+      |> List.map (fun s -> s /. float (List.length seeds))
+    | [] -> []
+  in
+  let base = Gate.baseline "lp_scaling" "solve_4800_s" in
+  ( List.map
+      (fun events ->
+        ( Printf.sprintf "e%d" events,
+          Json.Obj
+            [
+              ("solve_s", num (median_s events));
+              ("pivots", count (pivots events));
+              ("refactors", count (refactors events));
+              ("us_per_pivot", num (us_per_pivot events));
+            ] ))
+      sizes
+    @ [
+        ("us_per_pivot_ratio_4800_600", num (us_per_pivot 4800 /. us_per_pivot 600));
+        ("us_per_pivot_ratio_target", num 3.0);
+        ("solve_4800_s_lower_quartile", num (Gate.lower_quartile per_trial_4800));
+      ],
+    [
+      ( "refactors <= pivots / 10 at 4800 events",
+        refactors 4800 * 10 <= pivots 4800 );
+      ( Printf.sprintf
+          "4800-event solve <= 0.6 x %.3f s (calibrated, lower quartile)" base,
+        Gate.within ~limit:(0.6 *. base) per_trial_4800 );
+    ] )
+
 (* Metrics-plane gate: the full corpus inferred inside
    [Snapshot.with_plane] — registry enabled, runtime gauges installed,
    per-round and 100 ms ticker snapshots, each exported snapshot
    atomically rewritten as OpenMetrics (exactly what `run --metrics-out`
    wires up), one plane lifetime per sweep.  Gated statistic: the
-   plane's *direct* cost — seconds spent capturing snapshots and
+   plane's *direct* cost — CPU seconds spent capturing snapshots and
    rewriting the file, self-accounted by the plane
    ([Snapshot.busy_seconds]) — as a fraction of the sweep's wall-clock,
    which must stay within 3% (lower quartile of 5 sweeps interleaved
-   with plane-off sweeps; one sweep holds only one to three snapshots,
-   and one slow file rewrite can cost 3 ms).  The off-vs-on wall-clock
+   with plane-off sweeps).  One corpus pass is shorter than a tick, so
+   a sweep runs as many passes as the warmup says fill about a second,
+   and the gate checks that the sweeps exported at least 5 snapshots
+   each: a sweep of one pass held one or two, and its figure measured
+   a single round's capture, not the ticker's.  The off-vs-on wall-clock
    A/B is recorded for context but not gated: the host's CPU quota
    jitters either side by +/- 25%, far past a 3% budget.  The plane must
    also not perturb inference — verdicts with the plane on must equal
@@ -995,10 +1084,16 @@ let stats_gate () =
   Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
   @@ fun () ->
   Tm.set_enabled false;
-  ignore (corpus ()) (* warmup: code paths, page cache *);
+  (* The warmup (code paths, page cache) also sizes a sweep: enough
+     corpus passes to span about ten ticks, so each sweep's figure
+     holds its ticker's captures and rewrites, not one round's. *)
+  let pass_s = Gate.time corpus in
+  let passes = max 1 (int_of_float (Float.ceil (1.0 /. pass_s))) in
+  let sweep () = List.concat (List.init passes (fun _ -> corpus ())) in
+  let trials = 5 in
   let off_verdicts = ref [] and on_verdicts = ref [] in
   let busy = ref [] and snapshots = ref 0 and exported_ok = ref true in
-  let sweep_off () = Gate.time (fun () -> off_verdicts := corpus ()) in
+  let sweep_off () = Gate.time (fun () -> off_verdicts := sweep ()) in
   let sweep_on () =
     let exports = ref 0 in
     let export p =
@@ -1010,7 +1105,7 @@ let stats_gate () =
     let s, b, n =
       Fun.protect ~finally:(fun () -> Tm.reset Tm.default) @@ fun () ->
       Tsnap.with_plane ~interval_ms:100 ~on_snapshot:export (fun plane ->
-          let s = Gate.time (fun () -> on_verdicts := corpus ()) in
+          let s = Gate.time (fun () -> on_verdicts := sweep ()) in
           (s, Tsnap.busy_seconds plane, !exports))
     in
     busy := !busy @ [ b ];
@@ -1018,13 +1113,16 @@ let stats_gate () =
     exported_ok := !exported_ok && Result.is_ok (Om.parse_file out);
     s
   in
-  let[@warning "-8"] [ off_s; on_s ] = Gate.interleave ~k:5 [ sweep_off; sweep_on ] in
+  let[@warning "-8"] [ off_s; on_s ] =
+    Gate.interleave ~k:trials [ sweep_off; sweep_on ]
+  in
   let direct = List.map2 ( /. ) !busy on_s in
   ( [
       ("off_s", num (Gate.median off_s));
       ("on_s", num (Gate.median on_s));
       ( "ab_overhead_pct",
         num (100.0 *. ((Gate.median on_s /. Gate.median off_s) -. 1.0)) );
+      ("passes_per_sweep", count passes);
       ("snapshots", count !snapshots);
       ("busy_s", num (List.fold_left ( +. ) 0.0 !busy));
       ("direct_overhead_pct_lower_quartile", num (100.0 *. Gate.lower_quartile direct));
@@ -1034,6 +1132,8 @@ let stats_gate () =
     [
       ("verdicts identical with the plane on", !off_verdicts = !on_verdicts);
       ("exported OpenMetrics files parse", !exported_ok);
+      ( Printf.sprintf "snapshots >= 5 x %d sweeps" trials,
+        !snapshots >= 5 * trials );
       ( "direct plane cost <= 3% of wall-clock (lower quartile)",
         Gate.within ~limit:0.03 direct );
     ] )
@@ -1100,6 +1200,7 @@ let artifacts =
     ("format", format_gate);
     ("provenance", provenance_gate);
     ("extract_scaling", extract_scaling);
+    ("lp_scaling", lp_scaling);
     ("stats", stats_gate);
     ("robustness", robustness);
     ("microbench", bechamel_suite);

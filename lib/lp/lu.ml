@@ -52,7 +52,7 @@ let drop_tol = 1e-12
 let singular_tol = 1e-10
 let threshold = 0.1 (* partial-pivoting relative threshold *)
 
-let factorize ~m ~col =
+let factorize_gen eliminate ~m ~col =
   if m = 0 then
     Some
       {
@@ -120,6 +120,35 @@ let factorize ~m ~col =
     let nnz = ref 0 in
     let x = Array.make m 0.0 in
     let live = Array.make m 0 in
+    (* Min-heap of the earlier steps the current column reaches: a step
+       is pushed when its pivot row is first touched, at most once per
+       column. *)
+    let heap = Array.make m 0 and hn = ref 0 in
+    let push s =
+      let i = ref !hn in
+      incr hn;
+      while !i > 0 && heap.((!i - 1) / 2) > s do
+        heap.(!i) <- heap.((!i - 1) / 2);
+        i := (!i - 1) / 2
+      done;
+      heap.(!i) <- s
+    in
+    let pop () =
+      let top = heap.(0) in
+      decr hn;
+      let last = heap.(!hn) and i = ref 0 and sifting = ref true in
+      while !sifting do
+        let c = (2 * !i) + 1 in
+        let c = if c + 1 < !hn && heap.(c + 1) < heap.(c) then c + 1 else c in
+        if c < !hn && heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else sifting := false
+      done;
+      heap.(!i) <- last;
+      top
+    in
     let singular = ref false in
     let k = ref 0 in
     while (not !singular) && !k < m do
@@ -130,7 +159,8 @@ let factorize ~m ~col =
         if not touched.(r) then begin
           touched.(r) <- true;
           live.(!nlive) <- r;
-          incr nlive
+          incr nlive;
+          if step_of_row.(r) >= 0 then push step_of_row.(r)
         end
       in
       Array.iteri
@@ -138,11 +168,13 @@ let factorize ~m ~col =
           note r;
           x.(r) <- x.(r) +. vals.(i))
         rows;
-      (* Left-looking: apply every previous elimination step in order
-         (this solves L z = a_j). *)
-      for s = 0 to !k - 1 do
-        let pr = prow.(s) in
-        let xs = x.(pr) in
+      (* Left-looking: solve L z = a_j by applying the earlier steps in
+         ascending order.  A step whose pivot row the column never
+         reaches would see x = 0 there and do nothing, so only reached
+         steps are visited; the rows a step's L entries touch are all
+         pivoted later than it, so the heap yields them in order. *)
+      let apply s =
+        let xs = x.(prow.(s)) in
         if abs_float xs > drop_tol then begin
           let lr = l_rows.(s) and lv = l_vals.(s) in
           for i = 0 to Array.length lr - 1 do
@@ -151,7 +183,15 @@ let factorize ~m ~col =
             x.(r) <- x.(r) -. (xs *. lv.(i))
           done
         end
-      done;
+      in
+      (match eliminate with
+      | None ->
+        while !hn > 0 do
+          apply (pop ())
+        done
+      | Some f ->
+        f ~steps:!k apply;
+        hn := 0);
       (* Split into the U part (already-pivoted rows) and pivot
          candidates; choose the pivot by threshold + occupancy. *)
       let nu = ref 0 and nl = ref 0 in
@@ -237,6 +277,11 @@ let factorize ~m ~col =
           etas_nnz = 0;
         }
   end
+
+let factorize ~m ~col = factorize_gen None ~m ~col
+
+let factorize_scheduled ~eliminate ~m ~col =
+  factorize_gen (Some eliminate) ~m ~col
 
 let update t ~r ~w =
   let n = ref 0 in

@@ -30,7 +30,23 @@ val factorize : m:int -> col:(int -> (int -> float -> unit) -> unit) -> t option
 (** [factorize ~m ~col] factors the basis whose column at position [k]
     is enumerated by [col k f] ([f row coeff], rows in any order,
     duplicates summed).  Returns [None] when the basis is numerically
-    singular (no acceptable pivot in some column). *)
+    singular (no acceptable pivot in some column).
+
+    Elimination is left-looking: the column eliminated at step [k] is
+    reduced by the earlier steps whose pivot rows it reaches, visited
+    in ascending step order, so one factorization costs about the
+    factor's nonzeros rather than [m²]. *)
+
+val factorize_scheduled :
+  eliminate:(steps:int -> (int -> unit) -> unit) ->
+  m:int ->
+  col:(int -> (int -> float -> unit) -> unit) ->
+  t option
+(** {!factorize} with the elimination schedule replaced (a test hook):
+    at step [k], [eliminate ~steps:k apply] must call [apply s] in
+    ascending order for a superset of the earlier steps the column
+    reaches.  Applying a step the column does not reach changes
+    nothing, so every such schedule yields bitwise-identical factors. *)
 
 val size : t -> int
 (** The dimension [m] the factorization was built for. *)

@@ -322,27 +322,31 @@ let solve_incremental t =
     (* Push whatever accumulated since the previous solve.  Virtual
        bound rows are skipped — their variable's column carries the cap
        directly. *)
-    s.col_of_var <- grow_int s.col_of_var t.count;
-    for v = s.vars_pushed to t.count - 1 do
-      s.col_of_var.(v) <- Simplex.add_col ~ub:t.ubs.(v) s.sx
-    done;
-    s.vars_pushed <- t.count;
-    s.row_ids <- grow_int s.row_ids t.nconstrs;
-    let saved = ref 0 in
-    for i = s.rows_pushed to t.nconstrs - 1 do
-      let r = t.rows.(i) in
-      if r.c_bound >= 0 then s.row_ids.(i) <- -1
-      else begin
-        let entries = List.map (fun (v, k) -> (s.col_of_var.(v), k)) r.c_row in
-        s.row_ids.(i) <- Simplex.add_row s.sx entries r.c_rel r.c_rhs
-      end
-    done;
-    s.rows_pushed <- t.nconstrs;
-    for i = 0 to t.nconstrs - 1 do
-      if s.row_ids.(i) < 0 then incr saved
-    done;
-    Simplex.set_objective s.sx
-      (List.map (fun (v, k) -> (s.col_of_var.(v), k)) (Linexpr.terms t.objective));
+    let saved =
+      Sherlock_telemetry.Span.with_span ~name:"lp.load" @@ fun () ->
+      s.col_of_var <- grow_int s.col_of_var t.count;
+      for v = s.vars_pushed to t.count - 1 do
+        s.col_of_var.(v) <- Simplex.add_col ~ub:t.ubs.(v) s.sx
+      done;
+      s.vars_pushed <- t.count;
+      s.row_ids <- grow_int s.row_ids t.nconstrs;
+      for i = s.rows_pushed to t.nconstrs - 1 do
+        let r = t.rows.(i) in
+        if r.c_bound >= 0 then s.row_ids.(i) <- -1
+        else begin
+          let entries = List.map (fun (v, k) -> (s.col_of_var.(v), k)) r.c_row in
+          s.row_ids.(i) <- Simplex.add_row s.sx entries r.c_rel r.c_rhs
+        end
+      done;
+      s.rows_pushed <- t.nconstrs;
+      let saved = ref 0 in
+      for i = 0 to t.nconstrs - 1 do
+        if s.row_ids.(i) < 0 then incr saved
+      done;
+      Simplex.set_objective s.sx
+        (List.map (fun (v, k) -> (s.col_of_var.(v), k)) (Linexpr.terms t.objective));
+      saved
+    in
     match Simplex.reoptimize s.sx with
     | exception Simplex.Iteration_limit ->
       (* The solver invalidated itself; the warm state stays usable for

@@ -220,9 +220,14 @@ let get_factor t =
   | Some lu -> lu
   | None -> invalid_arg "Simplex: no factorization"
 
+module Tspan = Sherlock_telemetry.Span
+
 let refactor_now t =
   let m = num_rows t in
-  match Lu.factorize ~m ~col:(fun k f -> iter_col_entries t t.basis.(k) f) with
+  match
+    Tspan.with_span ~name:"lp.factor" @@ fun () ->
+    Lu.factorize ~m ~col:(fun k f -> iter_col_entries t t.basis.(k) f)
+  with
   | None -> raise Numerical_trouble
   | Some lu ->
     t.factor <- Some lu;
@@ -651,9 +656,30 @@ let expel_artificials t =
     end
   done
 
-(* Cold start: rebuild the basis from slacks where the sign works, fresh
-   artificials elsewhere, then the classic two phases.  All bounded
-   columns start at their lower bound. *)
+(* A crash column for row [i] with rhs [b]: a structural column whose
+   only entry is [a] in this row and whose value [b / a] lies within
+   its bounds.  Basic in row [i] with every other nonbasic at 0, it
+   satisfies the row exactly and leaves the rest of the basis alone —
+   a hinge row [-sum - h <= -1] starts feasible at [h = 1]. *)
+let singleton_col t i b =
+  let found = ref (-1) in
+  Sparse.iter_row t.mat i (fun c a ->
+      if !found < 0 && t.kind.(c) = Structural && Sparse.col_nnz t.mat c = 1
+      then begin
+        let v = b /. a in
+        if v >= 0.0 && v <= t.ub.(c) then found := c
+      end);
+  !found
+
+let phase2 t =
+  Tspan.with_span ~name:"lp.phase2" @@ fun () ->
+  primal t ~cost:t.cost ~phase1:false
+
+(* Cold start: rebuild the basis from slacks where the sign works, a
+   singleton crash column where it does not (or the row is Eq) and one
+   fits, fresh artificials elsewhere, then the classic two phases —
+   phase 1 only when some artificial was needed.  All bounded columns
+   start at their lower bound. *)
 let cold_solve t =
   for c = 0 to num_cols t - 1 do
     if t.kind.(c) = Artificial then t.dead.(c) <- true;
@@ -670,9 +696,13 @@ let cold_solve t =
       | Le when b >= 0.0 -> t.slack_of.(i)
       | Ge when b <= 0.0 -> t.slack_of.(i)
       | Le | Ge | Eq ->
-        incr nart;
-        let coeff = if b >= 0.0 then 1.0 else -1.0 in
-        new_artificial t ~row:i ~coeff
+        let crash = singleton_col t i b in
+        if crash >= 0 then crash
+        else begin
+          incr nart;
+          let coeff = if b >= 0.0 then 1.0 else -1.0 in
+          new_artificial t ~row:i ~coeff
+        end
     in
     t.basis.(i) <- bcol;
     t.in_basis.(bcol) <- i
@@ -688,6 +718,7 @@ let cold_solve t =
       for c = 0 to num_cols t - 1 do
         if t.kind.(c) = Artificial && not t.dead.(c) then cost1.(c) <- 1.0
       done;
+      Tspan.with_span ~name:"lp.phase1" @@ fun () ->
       match primal t ~cost:cost1 ~phase1:true with
       | None -> assert false (* phase-1 objective is bounded below by 0 *)
       | Some v when v > 1e-6 -> false
@@ -701,7 +732,7 @@ let cold_solve t =
   in
   if not phase1_ok then `Infeasible
   else
-    match primal t ~cost:t.cost ~phase1:false with
+    match phase2 t with
     | None -> `Unbounded
     | Some obj -> `Optimal obj
 
@@ -734,15 +765,18 @@ let reoptimize t =
             if primal_feasible t then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
-              match primal t ~cost:t.cost ~phase1:false with
+              match phase2 t with
               | None -> Some `Unbounded
               | Some obj -> Some (`Optimal obj)
             end
             else if t.have_opt then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
-              if dual_simplex t && primal_feasible t then begin
-                match primal t ~cost:t.cost ~phase1:false with
+              if
+                Tspan.with_span ~name:"lp.dual" (fun () -> dual_simplex t)
+                && primal_feasible t
+              then begin
+                match phase2 t with
                 | None -> Some `Unbounded
                 | Some obj -> Some (`Optimal obj)
               end

@@ -21,7 +21,9 @@
     bounded-variable dual simplex under the last proven-optimal cost
     vector if not, and a cold two-phase rebuild as the fallback of last
     resort.  This is what cross-round warm starts in the encoder ride
-    on. *)
+    on.  A cold start makes a row's single-entry column basic where
+    its slack cannot be (a hinge row's hinge), so phase 1 runs only
+    for rows that still need an artificial. *)
 
 type relation =
   | Le

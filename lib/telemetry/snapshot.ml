@@ -25,8 +25,8 @@ type plane = {
   mutable last_export : float;  (* capture time of the newest exported point *)
   mutable rounds : point list;  (* reversed *)
   mutable busy_s : float;
-      (* cumulative seconds spent capturing and in [on_snapshot] — the
-         plane's direct cost, which the bench stats gate divides by
+      (* cumulative CPU seconds spent capturing and in [on_snapshot] —
+         the plane's direct cost, which the bench stats gate divides by
          wall-clock *)
 }
 
@@ -64,11 +64,18 @@ let export pl p =
   Mutex.protect pl.mutex (fun () -> pl.last_export <- p.p_ts);
   Option.iter (fun f -> f p) pl.on_snapshot
 
+(* The plane's cost is the CPU time of the thread taking the snapshot,
+   not its wall-clock: the ticker shares the main domain's runtime lock,
+   and each system call of an export (a file rewrite) lets the main
+   thread take the lock for up to a scheduling slice, which wall-clock
+   would bill to the plane though the inference ran through it. *)
+external thread_cpu_s : unit -> float = "sherlock_thread_cpu_seconds"
+
 let account pl t0 =
-  Mutex.protect pl.mutex (fun () -> pl.busy_s <- pl.busy_s +. (Unix.gettimeofday () -. t0))
+  Mutex.protect pl.mutex (fun () -> pl.busy_s <- pl.busy_s +. (thread_cpu_s () -. t0))
 
 let take ?(label = "") pl =
-  let t0 = Unix.gettimeofday () in
+  let t0 = thread_cpu_s () in
   let p = capture ~label pl in
   export pl p;
   account pl t0;
@@ -119,8 +126,8 @@ let take_round ~label () =
   match Atomic.get current with
   | None -> ()
   | Some pl ->
-    let t0 = Unix.gettimeofday () in
-    let due = Mutex.protect pl.mutex (fun () -> t0 -. pl.last_export >= 0.1) in
+    let now = Unix.gettimeofday () and t0 = thread_cpu_s () in
+    let due = Mutex.protect pl.mutex (fun () -> now -. pl.last_export >= 0.1) in
     let keep = Option.is_some (Span.current_collector ()) in
     if due || keep then begin
       let p = capture ~label pl in

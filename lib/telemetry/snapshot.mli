@@ -34,9 +34,11 @@ val take : ?label:string -> plane -> point
     the point.  Safe from any domain or thread. *)
 
 val busy_seconds : plane -> float
-(** Cumulative wall-clock seconds spent capturing and in [on_snapshot]
-    on this plane — the plane's direct cost, which the bench stats gate
-    divides by run wall-clock. *)
+(** Cumulative CPU seconds of the snapshotting threads spent capturing
+    and in [on_snapshot] on this plane — the plane's direct cost, which
+    the bench stats gate divides by run wall-clock.  CPU rather than
+    wall-clock time, so a ticker thread waiting for the runtime lock
+    while the inference runs is not billed to the plane. *)
 
 val rounds : plane -> point list
 (** The points {!take_round} kept on this plane, oldest first. *)

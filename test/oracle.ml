@@ -104,3 +104,11 @@ let span_side (log : Log.t) ~tid ~lo ~hi =
         Opid.Map.update e.op (function None -> Some 1 | Some n -> Some (n + 1)) acc
       else acc)
     Opid.Map.empty log.events
+
+(* Today's schedule visits only the steps a column reaches; the dense
+   scan before it visited every earlier step for every column. *)
+let lu_factorize ~m ~col =
+  Sherlock_lp.Lu.factorize_scheduled ~m ~col ~eliminate:(fun ~steps apply ->
+      for s = 0 to steps - 1 do
+        apply s
+      done)

@@ -1,5 +1,5 @@
-(** Per-query reference implementations of the objective inputs and of
-    window extraction's two costs.
+(** Per-query reference implementations of the objective inputs, of
+    window extraction's two costs, and of the LU's elimination schedule.
 
     The library builds the Rare and Variation inputs as one-pass tables
     ({!Sherlock_core.Observations.occurrence},
@@ -7,7 +7,8 @@
     with a map union.  Window extraction merges per-op access streams
     and answers long spans from per-thread occurrence summaries
     ({!Sherlock_trace.Windows.scan_address},
-    {!Sherlock_trace.Windows.span_side}).  These are the direct
+    {!Sherlock_trace.Windows.span_side}).  The LU reduces each basis
+    column by the elimination steps it reaches.  These are the direct
     definitions those fast paths are checked against, bit for bit. *)
 
 val percentile_rank : float list -> float -> float
@@ -42,3 +43,9 @@ val span_side :
   Sherlock_trace.Log.t -> tid:int -> lo:int -> hi:int -> Sherlock_trace.Windows.side
 (** A scan of the whole log, counting the ops of [tid]'s events in
     [[lo, hi]]. *)
+
+val lu_factorize :
+  m:int -> col:(int -> (int -> float -> unit) -> unit) -> Sherlock_lp.Lu.t option
+(** {!Sherlock_lp.Lu.factorize} with the left-looking elimination as a
+    dense scan: every column is reduced by every earlier step in order,
+    reached or not, at O(m²) per factorization. *)

@@ -284,6 +284,35 @@ let test_solve_phase_spans () =
     (Printf.sprintf "phases cover %.1f%% of solve" (100.0 *. covered))
     true (covered >= 0.9)
 
+(* The LP's child spans — row loading, factorizations outside a simplex
+   run, phase 1, phase 2 and dual repair — account for its time: what
+   is left (feasibility and residual checks, dual capture, pin
+   selection) stays under a tenth. *)
+let test_lp_child_spans () =
+  let module Span = Sherlock_telemetry.Span in
+  let c = Span.create_collector () in
+  Span.set_collector (Some c);
+  Fun.protect ~finally:(fun () -> Span.set_collector None) (fun () ->
+      ignore (Orchestrator.infer (Registry.find "App-1" |> App.subject)));
+  let spans = Span.closed_spans c in
+  let dur (s : Span.closed) = s.end_s -. s.start_s in
+  let lps = List.filter (fun (s : Span.closed) -> s.name = "lp") spans in
+  let children =
+    List.filter
+      (fun (s : Span.closed) ->
+        List.exists (fun (p : Span.closed) -> s.parent = Some p.id) lps)
+      spans
+  in
+  check Alcotest.bool "every child is an lp.* phase" true
+    (List.for_all
+       (fun (s : Span.closed) -> String.starts_with ~prefix:"lp." s.name)
+       children);
+  let total f l = List.fold_left (fun acc s -> acc +. f s) 0.0 l in
+  let covered = total dur children /. total dur lps in
+  check Alcotest.bool
+    (Printf.sprintf "children cover %.1f%% of lp" (100.0 *. covered))
+    true (covered >= 0.9)
+
 let () =
   Alcotest.run "corpus"
     [
@@ -322,5 +351,6 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "solve phase spans" `Quick test_solve_phase_spans;
+          Alcotest.test_case "lp child spans" `Quick test_lp_child_spans;
         ] );
     ]

@@ -430,6 +430,58 @@ let prop_lu_roundtrip =
           && max_err (mul_bt cols' (Lu.btran t b)) b < 1e-6
         end)
 
+(* Random sparse bases, [m] up to 40: each position holds a singleton
+   (hinge helper, half of them), a wide column over 3-12 rows (a
+   probability variable shared by hinge rows), or a short one.  Each column
+   carries a dominant entry on a shuffled row so most bases are
+   nonsingular; the singular ones must be rejected alike. *)
+let gen_sparse_basis =
+  QCheck.Gen.(
+    let* m = int_range 1 40 in
+    let* diag_rows = shuffle_l (List.init m Fun.id) in
+    let* cols =
+      flatten_l
+        (List.map
+           (fun d ->
+             let* len =
+               frequency
+                 [ (3, return 0); (1, int_range 3 12); (2, int_range 0 3) ]
+             in
+             let* dv = float_range 0.5 3.0 in
+             let* sign = bool in
+             let* extra =
+               list_repeat len (pair (int_range 0 (m - 1)) (float_range (-1.5) 1.5))
+             in
+             return ((d, if sign then dv else -.dv) :: extra))
+           diag_rows)
+    in
+    let* b = list_repeat m (float_range (-4.0) 4.0) in
+    return (m, cols, b))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The reach-ordered factor performs the dense scan's floating-point
+   operations in the same order, so both solves agree bit for bit. *)
+let prop_lu_matches_dense_scan =
+  QCheck.Test.make
+    ~name:"reach-ordered lu solves equal the dense-scan oracle bit for bit" ~count:300
+    (QCheck.make gen_sparse_basis)
+    (fun (m, cols, b) ->
+      let cols = Array.of_list cols in
+      let col k f = List.iter (fun (r, v) -> f r v) cols.(k) in
+      let b = Array.of_list b in
+      match (Lu.factorize ~m ~col, Oracle.lu_factorize ~m ~col) with
+      | None, None -> true
+      | Some t, Some o ->
+        Lu.factor_nnz t = Lu.factor_nnz o
+        && same_bits (Lu.ftran t b) (Lu.ftran o b)
+        && same_bits (Lu.btran t b) (Lu.btran o b)
+      | _ -> false)
+
 (* --- Engine behavior: refactorization, pivot cap, dual repair --- *)
 
 (* min -sum x_i over a 6-cycle of pairwise caps: needs a handful of
@@ -722,45 +774,162 @@ let certified_prop p objective result =
 
 let objective_of (_, _, _, obj) = List.mapi (fun i c -> (i, c)) obj
 
+let constrs_of rows =
+  List.map
+    (fun (coeffs, rel, rhs) ->
+      let relation =
+        match rel with `Le -> Simplex.Le | `Ge -> Simplex.Ge | `Eq -> Simplex.Eq
+      in
+      { Simplex.row = List.mapi (fun i c -> (i, c)) coeffs; relation; rhs })
+    rows
+
+(* The dense oracle's solve, with every finite cap an explicit row. *)
+let dense_solve ~ubs ~num_vars ~objective constrs =
+  let caps =
+    List.concat
+      (List.mapi
+         (fun i u ->
+           if Float.is_finite u then
+             [ { Simplex.row = [ (i, 1.0) ]; relation = Simplex.Le; rhs = u } ]
+           else [])
+         ubs)
+  in
+  status_of_outcome (Dense.solve ~num_vars ~objective (constrs @ caps))
+
 (* The dense seed oracle (caps as explicit rows), the sparse engine
    solved one-shot (caps as column bounds), and the problem builder's
    incremental solve agree on outcome and objective; the incremental
    optimum is also certified. *)
+let engines_agree ((nvars, ubs, rows, _) as lp) =
+  let objective = objective_of lp in
+  let constrs = constrs_of rows in
+  let dense = dense_solve ~ubs ~num_vars:nvars ~objective constrs in
+  let sparse =
+    status_of_outcome
+      (Simplex.solve ~ub:(Array.of_list ubs) ~num_vars:nvars ~objective constrs)
+  in
+  let p = build_problem lp in
+  Problem.set_capture_duals p true;
+  let result = Problem.solve_incremental p in
+  same_status dense sparse
+  && same_status dense (fst result)
+  && certified_prop p objective result
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"dense, sparse, and incremental engines agree"
-    ~count:300 (QCheck.make gen_lp) (fun ((nvars, ubs, rows, _) as lp) ->
-      let objective = objective_of lp in
-      let constrs =
-        List.map
-          (fun (coeffs, rel, rhs) ->
-            let relation =
-              match rel with `Le -> Simplex.Le | `Ge -> Simplex.Ge | `Eq -> Simplex.Eq
-            in
-            { Simplex.row = List.mapi (fun i c -> (i, c)) coeffs; relation; rhs })
-          rows
-      in
-      let caps =
-        List.concat
-          (List.mapi
-             (fun i u ->
-               if Float.is_finite u then
-                 [ { Simplex.row = [ (i, 1.0) ]; relation = Simplex.Le; rhs = u } ]
-               else [])
-             ubs)
-      in
-      let dense =
-        status_of_outcome (Dense.solve ~num_vars:nvars ~objective (constrs @ caps))
-      in
-      let sparse =
-        status_of_outcome
-          (Simplex.solve ~ub:(Array.of_list ubs) ~num_vars:nvars ~objective constrs)
-      in
-      let p = build_problem lp in
-      Problem.set_capture_duals p true;
-      let result = Problem.solve_incremental p in
-      same_status dense sparse
-      && same_status dense (fst result)
-      && certified_prop p objective result)
+    ~count:300 (QCheck.make gen_lp) engines_agree
+
+(* --- Singleton crash basis --- *)
+
+(* [gen_lp] with singleton columns injected: about half the rows gain a
+   variable of their own (either sign, capped or not), the shape the
+   cold start crashes into the basis in place of an artificial. *)
+let gen_lp_singletons =
+  QCheck.Gen.(
+    let* nvars, ubs, rows, obj = gen_lp in
+    let* singles =
+      flatten_l
+        (List.map
+           (fun _ ->
+             let* add = bool in
+             let* a = float_range 0.5 3.0 in
+             let* neg = bool in
+             let* ub = frequency [ (2, return infinity); (1, float_range 0.2 2.5) ] in
+             let* cost = float_range 0.0 2.0 in
+             return (if add then Some ((if neg then -.a else a), ub, cost) else None))
+           rows)
+    in
+    let added = List.filter_map Fun.id singles in
+    let rows =
+      List.mapi
+        (fun i (coeffs, rel, rhs) ->
+          let own =
+            List.concat
+              (List.mapi
+                 (fun j s ->
+                   match s with
+                   | Some (a, _, _) -> [ (if i = j then a else 0.0) ]
+                   | None -> [])
+                 singles)
+          in
+          (coeffs @ own, rel, rhs))
+        rows
+    in
+    return
+      ( nvars + List.length added,
+        ubs @ List.map (fun (_, u, _) -> u) added,
+        rows,
+        obj @ List.map (fun (_, _, c) -> c) added ))
+
+let prop_crash_singletons =
+  QCheck.Test.make ~name:"crash-basis singletons keep the dense optimum, certified"
+    ~count:300 (QCheck.make gen_lp_singletons) engines_agree
+
+(* Hinge rows [-(sum of x) - h <= -1] over probability variables capped
+   at 1: every row's slack starts with the wrong sign and its hinge
+   column appears in that row alone. *)
+let test_crash_pure_hinge () =
+  let t = Simplex.create () in
+  let xs = Array.init 3 (fun _ -> Simplex.add_col ~ub:1.0 t) in
+  let sides = [ [ 0; 1 ]; [ 1; 2 ]; [ 0 ]; [ 2 ] ] in
+  let hs = List.map (fun _ -> Simplex.add_col t) sides in
+  let constrs =
+    List.map2
+      (fun h side ->
+        {
+          Simplex.row = (h, -1.0) :: List.map (fun v -> (xs.(v), -1.0)) side;
+          relation = Simplex.Le;
+          rhs = -1.0;
+        })
+      hs sides
+  in
+  List.iter
+    (fun c -> ignore (Simplex.add_row t c.Simplex.row c.relation c.rhs))
+    constrs;
+  let objective =
+    [ (xs.(0), 0.5); (xs.(1), 0.7); (xs.(2), 0.9) ] @ List.map (fun h -> (h, 2.0)) hs
+  in
+  Simplex.set_objective t objective;
+  let cols = Simplex.num_cols t in
+  let got =
+    match Simplex.reoptimize t with
+    | `Optimal obj -> Problem.Solved obj
+    | `Infeasible -> Problem.Infeasible
+    | `Unbounded -> Problem.Unbounded
+  in
+  check Alcotest.int "no artificial column" cols (Simplex.num_cols t);
+  let ubs = List.init cols (fun c -> if c < 3 then 1.0 else infinity) in
+  check Alcotest.bool "dense oracle's optimum" true
+    (same_status got (dense_solve ~ubs ~num_vars:cols ~objective constrs))
+
+(* [-x - h <= -1] with [h <= 0.5], and [x] also in [x <= 1.5]: the
+   only singleton, [h], would need the value 1, past its cap, so the row
+   takes an artificial. *)
+let test_crash_over_cap_falls_back () =
+  let t = Simplex.create () in
+  let x = Simplex.add_col ~ub:2.0 t in
+  let h = Simplex.add_col ~ub:0.5 t in
+  let constrs =
+    [
+      { Simplex.row = [ (x, -1.0); (h, -1.0) ]; relation = Simplex.Le; rhs = -1.0 };
+      { Simplex.row = [ (x, 1.0) ]; relation = Simplex.Le; rhs = 1.5 };
+    ]
+  in
+  List.iter
+    (fun c -> ignore (Simplex.add_row t c.Simplex.row c.relation c.rhs))
+    constrs;
+  let objective = [ (x, 1.0); (h, 3.0) ] in
+  Simplex.set_objective t objective;
+  let cols = Simplex.num_cols t in
+  let got =
+    match Simplex.reoptimize t with
+    | `Optimal obj -> Problem.Solved obj
+    | `Infeasible -> Problem.Infeasible
+    | `Unbounded -> Problem.Unbounded
+  in
+  check Alcotest.int "one artificial column" (cols + 1) (Simplex.num_cols t);
+  check Alcotest.bool "dense oracle's optimum" true
+    (same_status got (dense_solve ~ubs:[ 2.0; 0.5 ] ~num_vars:2 ~objective constrs))
 
 (* Warm reoptimization after growing the program (new row, extra
    objective term) lands on the same optimum as a one-shot solve of the
@@ -968,7 +1137,7 @@ let () =
         Alcotest.test_case "ftran/btran round trip" `Quick test_lu_roundtrip_known
         :: Alcotest.test_case "eta update" `Quick test_lu_eta_update
         :: Alcotest.test_case "singular basis" `Quick test_lu_singular
-        :: qcheck [ prop_lu_roundtrip ] );
+        :: qcheck [ prop_lu_roundtrip; prop_lu_matches_dense_scan ] );
       ( "engine",
         [
           Alcotest.test_case "refactorization threshold" `Quick
@@ -983,6 +1152,10 @@ let () =
             test_dual_repair_with_bounds;
           Alcotest.test_case "bound-only program" `Quick test_bound_only_program;
           Alcotest.test_case "bound rows saved" `Quick test_bound_rows_saved;
+          Alcotest.test_case "pure hinge lp crashes without artificials" `Quick
+            test_crash_pure_hinge;
+          Alcotest.test_case "over-cap singleton falls back to an artificial"
+            `Quick test_crash_over_cap_falls_back;
         ] );
       ( "duals",
         [
@@ -1001,6 +1174,6 @@ let () =
             prop_solution_feasible; prop_zero_optimum; prop_hinge_exact;
             prop_abs_exact; prop_linexpr_add_commutes;
             prop_linexpr_add_matches_merge; prop_engines_agree;
-            prop_warm_matches_oneshot;
+            prop_crash_singletons; prop_warm_matches_oneshot;
           ] );
     ]
